@@ -131,8 +131,8 @@ RunResult RunOnce(const Scenario& sc) {
 // differ only in execution schedule. At a fixed shard assignment (pool-size
 // comparison) every counter must match, allocator traffic included. Across
 // *different* groupings the physical counters still must match, but allocs
-// may not: the runtime's own bookkeeping (outbox lanes, shard objects)
-// scales with the shard count.
+// may not: the runtime's own bookkeeping (per-shard outboxes, shard
+// objects) scales with the shard count.
 bool SameTimeline(const RunResult& a, const RunResult& b,
                   bool ignore_allocs) {
   if (a.client_bytes != b.client_bytes || a.client_ops != b.client_ops ||

@@ -52,26 +52,27 @@ BlockRequestPtr BlockDeadlineElevator::Finish(Dir dir, BlockRequestPtr req) {
   --count_[dir];
   --pending_;
   next_sector_ = req->sector + req->bytes / kSectorSize;
+  // Keep the FIFO's head the oldest undispatched request, so expiry checks
+  // are O(1) and dispatched requests are not held alive by the queue.
+  std::deque<BlockRequestPtr>& fifo = fifo_[dir];
+  while (!fifo.empty() && fifo.front()->elv_dispatched) {
+    fifo.pop_front();
+  }
   return req;
 }
 
 BlockRequestPtr BlockDeadlineElevator::PopFifo(Dir dir) {
-  while (!fifo_[dir].empty()) {
-    BlockRequestPtr req = std::move(fifo_[dir].front());
-    fifo_[dir].pop_front();
-    if (!req->elv_dispatched) {
-      // Remove from the sorted index (which still holds its copy).
-      auto [lo, hi] = sorted_[dir].equal_range(req->sector);
-      for (auto it = lo; it != hi; ++it) {
-        if (it->second == req) {
-          sorted_[dir].erase(it);
-          break;
-        }
-      }
-      return Finish(dir, std::move(req));
+  BlockRequestPtr req = std::move(fifo_[dir].front());
+  fifo_[dir].pop_front();
+  // Remove from the sorted index (which still holds its copy).
+  auto [lo, hi] = sorted_[dir].equal_range(req->sector);
+  for (auto it = lo; it != hi; ++it) {
+    if (it->second == req) {
+      sorted_[dir].erase(it);
+      break;
     }
   }
-  return nullptr;
+  return Finish(dir, std::move(req));
 }
 
 BlockRequestPtr BlockDeadlineElevator::PopSorted(Dir dir, uint64_t from) {
@@ -82,21 +83,16 @@ BlockRequestPtr BlockDeadlineElevator::PopSorted(Dir dir, uint64_t from) {
   if (it == sorted_[dir].end()) {
     it = sorted_[dir].begin();  // wrap (one-way elevator)
   }
-  // Move straight out of the sorted index (the FIFO is cleaned lazily) —
-  // no refcount round-trip and no second lookup.
+  // Move straight out of the sorted index (Finish trims the FIFO) — no
+  // refcount round-trip and no second lookup.
   BlockRequestPtr req = std::move(it->second);
   sorted_[dir].erase(it);
   return Finish(dir, std::move(req));
 }
 
 bool BlockDeadlineElevator::FifoExpired(Dir dir) const {
-  Nanos now = Simulator::current().Now();
-  for (const BlockRequestPtr& req : fifo_[dir]) {
-    if (!req->elv_dispatched) {
-      return req->deadline <= now;
-    }
-  }
-  return false;
+  return !fifo_[dir].empty() &&
+         fifo_[dir].front()->deadline <= Simulator::current().Now();
 }
 
 BlockRequestPtr BlockDeadlineElevator::Next() {

@@ -50,12 +50,13 @@ class BlockDeadlineElevator : public Elevator {
     return req.is_write ? kWrite : kRead;
   }
 
-  // Pops the front of the FIFO, skipping already-dispatched entries.
+  // Pops the (undispatched) front of a non-empty FIFO.
   BlockRequestPtr PopFifo(Dir dir);
   // Removes and returns the first sorted request at or after `from`,
   // wrapping around (one-way elevator / C-SCAN).
   BlockRequestPtr PopSorted(Dir dir, uint64_t from);
-  // Marks `req` dispatched and updates the counters/elevator position.
+  // Marks `req` dispatched, updates the counters/elevator position, and
+  // pops dispatched requests off the FIFO's head.
   BlockRequestPtr Finish(Dir dir, BlockRequestPtr req);
   bool FifoExpired(Dir dir) const;
   bool HasPending(Dir dir) const { return count_[dir] > 0; }

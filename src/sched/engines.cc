@@ -136,6 +136,11 @@ BlockRequestPtr DeadlineEngine::Finish(bool write, BlockRequestPtr req) {
   --count_[write ? 1 : 0];
   --pending_;
   next_sector_ = req->sector + req->bytes / kSectorSize;
+  // Keep the read FIFO's head the oldest undispatched read, so expiry
+  // checks are O(1) and dispatched reads are not held alive by the queue.
+  while (!read_fifo_.empty() && read_fifo_.front()->elv_dispatched) {
+    read_fifo_.pop_front();
+  }
   return req;
 }
 
@@ -148,40 +153,30 @@ BlockRequestPtr DeadlineEngine::PopSorted(bool write, uint64_t from) {
   if (it == sorted_[dir].end()) {
     it = sorted_[dir].begin();
   }
-  // Move straight out of the sorted index (the read FIFO is cleaned
-  // lazily) — no refcount round-trip and no second lookup.
+  // Move straight out of the sorted index (Finish trims the read FIFO) —
+  // no refcount round-trip and no second lookup.
   BlockRequestPtr req = std::move(it->second);
   sorted_[dir].erase(it);
   return Finish(write, std::move(req));
 }
 
 BlockRequestPtr DeadlineEngine::PopReadFifo() {
-  while (!read_fifo_.empty()) {
-    BlockRequestPtr req = std::move(read_fifo_.front());
-    read_fifo_.pop_front();
-    if (!req->elv_dispatched) {
-      // Remove from the sorted index (which still holds its copy).
-      auto [lo, hi] = sorted_[0].equal_range(req->sector);
-      for (auto it = lo; it != hi; ++it) {
-        if (it->second == req) {
-          sorted_[0].erase(it);
-          break;
-        }
-      }
-      return Finish(false, std::move(req));
+  BlockRequestPtr req = std::move(read_fifo_.front());
+  read_fifo_.pop_front();
+  // Remove from the sorted index (which still holds its copy).
+  auto [lo, hi] = sorted_[0].equal_range(req->sector);
+  for (auto it = lo; it != hi; ++it) {
+    if (it->second == req) {
+      sorted_[0].erase(it);
+      break;
     }
   }
-  return nullptr;
+  return Finish(false, std::move(req));
 }
 
 bool DeadlineEngine::ReadFifoExpired() const {
-  Nanos now = Simulator::current().Now();
-  for (const BlockRequestPtr& req : read_fifo_) {
-    if (!req->elv_dispatched) {
-      return req->deadline <= now;
-    }
-  }
-  return false;
+  return !read_fifo_.empty() &&
+         read_fifo_.front()->deadline <= Simulator::current().Now();
 }
 
 BlockRequestPtr DeadlineEngine::Next() {
@@ -279,13 +274,6 @@ void StrideEngine::Register(Process& proc) {
   }
 }
 
-double StrideEngine::MinActivePass() {
-  if (active_.empty()) {
-    return 0;
-  }
-  return stride_.MinPass(active_);
-}
-
 void StrideEngine::Attach(const StackContext& ctx) {
   ctx_ = ctx;
   Simulator::current().Spawn(Housekeep());
@@ -301,19 +289,14 @@ Task<void> StrideEngine::Housekeep() {
   for (;;) {
     co_await Delay(Msec(10));
     Nanos now = Simulator::current().Now();
-    for (auto it = active_.begin(); it != active_.end();) {
-      int32_t client = *it;
+    stride_.DeactivateIf([&](int32_t client) {
       auto qit = read_queues_.find(client);
       bool has_reads = qit != read_queues_.end() && !qit->second.empty();
       bool is_blocked = blocked_.count(client) > 0;
       auto ait = last_activity_.find(client);
       bool stale = ait == last_activity_.end() || now - ait->second > Msec(50);
-      if (!has_reads && !is_blocked && stale) {
-        it = active_.erase(it);
-      } else {
-        ++it;
-      }
-    }
+      return !has_reads && !is_blocked && stale;
+    });
     pass_advanced_.NotifyAll();
   }
 }
@@ -322,12 +305,17 @@ Task<void> StrideEngine::AdmitWriteWork(Process& proc) {
   Register(proc);
   int32_t client = ClientOf(proc);
   NoteActivity(client);
-  // (Re)activate: do not let idle periods bank credit.
-  if (active_.insert(client).second && !active_.empty()) {
-    stride_.SetPassAtLeast(client, MinActivePass());
+  // (Re)activate: do not let idle periods bank credit. This floor and the
+  // one in Add are no-ops: the minimum is taken after activation, so it
+  // includes the joining client and never exceeds its pass. Taking it over
+  // the other clients instead would change every AFQ schedule, so that fix
+  // waits for the admission-order oracle (ROADMAP item 3).
+  if (stride_.Activate(client)) {
+    stride_.SetPassAtLeast(client, stride_.MinActivePass());
   }
   blocked_.insert(client);
-  while (stride_.Pass(client) > MinActivePass() + config_.pass_slack) {
+  while (stride_.Pass(client) >
+         stride_.MinActivePass() + config_.pass_slack) {
     co_await pass_advanced_.Wait();
   }
   blocked_.erase(client);
@@ -347,8 +335,9 @@ void StrideEngine::Add(BlockRequestPtr req) {
     return;
   }
   int32_t client = req->submitter != nullptr ? ClientOf(*req->submitter) : -1;
-  if (active_.insert(client).second) {
-    stride_.SetPassAtLeast(client, MinActivePass());
+  if (stride_.Activate(client)) {
+    // A no-op floor; see AdmitWriteWork.
+    stride_.SetPassAtLeast(client, stride_.MinActivePass());
   }
   NoteActivity(client);
   read_queues_[client].push_back(std::move(req));
@@ -437,7 +426,7 @@ void StrideEngine::ChargeRaw(const CauseSet& causes, double amount) {
   for (int32_t pid : pids) {
     int32_t client = ClientOfPid(pid);
     stride_.Charge(client, share);
-    active_.insert(client);
+    stride_.Activate(client);
     NoteActivity(client);
   }
   pass_advanced_.NotifyAll();

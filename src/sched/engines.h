@@ -73,7 +73,8 @@ class DeadlineEngine {
   BlockRequestPtr PopSorted(bool write, uint64_t from);
   BlockRequestPtr PopReadFifo();
   bool ReadFifoExpired() const;
-  // Marks `req` dispatched and updates the counters/elevator position.
+  // Marks `req` dispatched, updates the counters/elevator position, and
+  // pops dispatched reads off the read FIFO's head.
   BlockRequestPtr Finish(bool write, BlockRequestPtr req);
   Task<void> OwnWritebackLoop();
   bool DeadlinePressure() const;
@@ -82,9 +83,10 @@ class DeadlineEngine {
   WritebackKind writeback_;
   StackContext ctx_;
 
-  // Block level: read FIFO (expiry order) + sorted read/write queues, plus
-  // an urgent FIFO for writes an expiring fsync depends on (journal commits
-  // and the fsync's own data flush).
+  // Block level: read FIFO (expiry order; its head is always undispatched,
+  // later entries may already have left through the sorted queue) + sorted
+  // read/write queues, plus an urgent FIFO for writes an expiring fsync
+  // depends on (journal commits and the fsync's own data flush).
   std::deque<BlockRequestPtr> urgent_fifo_;
   std::deque<BlockRequestPtr> read_fifo_;
   std::multimap<uint64_t, BlockRequestPtr> sorted_[2];  // [0]=read, [1]=write
@@ -158,7 +160,6 @@ class StrideEngine {
   void ChargeCauses(const BlockRequest& req);
   // Charges (or refunds, when negative) `amount` split across `causes`.
   void ChargeRaw(const CauseSet& causes, double amount);
-  double MinActivePass();
 
   Task<void> Housekeep();
   void NoteActivity(int32_t client);
@@ -169,6 +170,8 @@ class StrideEngine {
   // axis = stride-pass); completion revision subtracts prelim only then.
   bool owns_prelim_;
   StackContext ctx_;
+  // Passes, plus the active set (clients with queued or in-flight work)
+  // that the admission floor is the minimum over.
   StrideState stride_;
   std::map<int32_t, Process*> procs_;
   // pid -> client (kAccount mode only; kPid mode is the identity).
@@ -176,8 +179,6 @@ class StrideEngine {
   // Clients whose stride weight has been initialized (kAccount mode: many
   // pids share one client, so per-pid registration can't drive this).
   std::set<int32_t> weighted_;
-  // Clients with queued or in-flight work (the active set for MinPass).
-  std::set<int32_t> active_;
   // Clients currently sleeping in a write-path entry hook; they stay in
   // the active set so the pass floor cannot fall below their reach.
   std::set<int32_t> blocked_;

@@ -4,8 +4,8 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <limits>
 #include <unordered_map>
+#include <vector>
 
 #include "src/sim/sync.h"
 #include "src/sim/time.h"
@@ -16,31 +16,34 @@ namespace splitio {
 // pass by charge/weight; clients with the minimum pass are served first.
 // Joining clients start at the current global pass so idle periods do not
 // bank credit.
+//
+// The *active* clients (callers decide what active means) are indexed by a
+// binary min-heap on pass, so the minimum active pass is O(1). Invariant:
+// an entry is active iff its `slot` is its index in `heap_`, and every
+// pass change of an active entry re-sifts it before returning. The heap
+// holds pointers into `entries_` (unordered_map nodes never move), and its
+// capacity is kept at least the number of known clients, so once every
+// client has been seen no operation allocates.
 class StrideState {
  public:
+  StrideState() = default;
+  StrideState(const StrideState&) = delete;  // heap_ points into entries_
+  StrideState& operator=(const StrideState&) = delete;
+
   void SetWeight(int32_t client, double weight) {
-    Entry& e = entries_[client];
-    e.weight = std::max(weight, 1e-9);
+    Touch(client).weight = std::max(weight, 1e-9);
   }
 
-  // Charges `cost` to `client` (auto-registers with weight 1).
+  // Charges `cost` to `client` (auto-registers with weight 1); a negative
+  // cost is a refund.
   void Charge(int32_t client, double cost) {
     Entry& e = Touch(client);
     e.pass += cost / e.weight;
+    Resift(e);
   }
 
   // The client's pass, normalized to start at the global floor.
   double Pass(int32_t client) { return Touch(client).pass; }
-
-  // Minimum pass among `active` clients (callers decide what active means).
-  template <typename Container>
-  double MinPass(const Container& active_clients) {
-    double min_pass = std::numeric_limits<double>::max();
-    for (int32_t c : active_clients) {
-      min_pass = std::min(min_pass, Touch(c).pass);
-    }
-    return min_pass;
-  }
 
   bool Known(int32_t client) const { return entries_.count(client) > 0; }
 
@@ -48,18 +51,117 @@ class StrideState {
   // re-activates after idling, so idle time does not bank credit.
   void SetPassAtLeast(int32_t client, double floor) {
     Entry& e = Touch(client);
-    e.pass = std::max(e.pass, floor);
+    if (floor > e.pass) {
+      e.pass = floor;
+      Resift(e);
+    }
+  }
+
+  // Adds `client` to the active set in O(log n); false if already active.
+  bool Activate(int32_t client) {
+    Entry& e = Touch(client);
+    if (e.slot != kInactive) {
+      return false;
+    }
+    heap_.push_back(&e);
+    SiftUp(heap_.size() - 1);
+    return true;
+  }
+
+  // Deactivates every active client for which `drop(client)` holds, in
+  // one O(active) sweep that rebuilds the heap.
+  template <typename Pred>
+  void DeactivateIf(Pred&& drop) {
+    size_t kept = 0;
+    for (Entry* e : heap_) {
+      if (drop(e->client)) {
+        e->slot = kInactive;
+      } else {
+        Place(kept++, e);
+      }
+    }
+    if (kept == heap_.size()) {
+      return;
+    }
+    heap_.resize(kept);
+    for (size_t i = kept / 2; i-- > 0;) {
+      SiftDown(i);
+    }
+  }
+
+  // Minimum pass among the active clients (0 when none is active).
+  double MinActivePass() const {
+    return heap_.empty() ? 0 : heap_.front()->pass;
   }
 
  private:
+  static constexpr size_t kInactive = static_cast<size_t>(-1);
+
   struct Entry {
     double weight = 1.0;
     double pass = 0;
+    int32_t client = 0;
+    size_t slot = kInactive;  // index in heap_ while active
   };
 
-  Entry& Touch(int32_t client) { return entries_[client]; }
+  Entry& Touch(int32_t client) {
+    auto [it, inserted] = entries_.try_emplace(client);
+    if (inserted) {
+      it->second.client = client;
+      if (heap_.capacity() < entries_.size()) {
+        heap_.reserve(2 * entries_.size());
+      }
+    }
+    return it->second;
+  }
+
+  void Place(size_t i, Entry* e) {
+    heap_[i] = e;
+    e->slot = i;
+  }
+
+  void SiftUp(size_t i) {
+    Entry* e = heap_[i];
+    while (i > 0) {
+      size_t parent = (i - 1) / 2;
+      if (heap_[parent]->pass <= e->pass) {
+        break;
+      }
+      Place(i, heap_[parent]);
+      i = parent;
+    }
+    Place(i, e);
+  }
+
+  void SiftDown(size_t i) {
+    Entry* e = heap_[i];
+    for (;;) {
+      size_t child = 2 * i + 1;
+      if (child >= heap_.size()) {
+        break;
+      }
+      if (child + 1 < heap_.size() &&
+          heap_[child + 1]->pass < heap_[child]->pass) {
+        ++child;
+      }
+      if (e->pass <= heap_[child]->pass) {
+        break;
+      }
+      Place(i, heap_[child]);
+      i = child;
+    }
+    Place(i, e);
+  }
+
+  void Resift(Entry& e) {
+    if (e.slot != kInactive) {
+      SiftUp(e.slot);
+      SiftDown(e.slot);
+    }
+  }
 
   std::unordered_map<int32_t, Entry> entries_;
+  std::vector<Entry*> heap_;  // active entries, min-heap on pass
 };
 
 // A token bucket whose balance may go negative (debt): work is admitted

@@ -4,6 +4,7 @@
 #include <barrier>
 #include <cassert>
 #include <thread>
+#include <tuple>
 #include <utility>
 
 #include "src/metrics/sample_hook.h"
@@ -90,7 +91,7 @@ ShardGroup::ShardGroup(const Config& config) : config_(config) {
   assert(config.lookahead > 0);
   shards_.reserve(static_cast<size_t>(config.shards));
   for (int i = 0; i < config.shards; ++i) {
-    shards_.emplace_back(new Shard(this, i, config.shards));
+    shards_.emplace_back(new Shard(this, i));
   }
 }
 
@@ -126,8 +127,8 @@ void ShardGroup::Send(int dst, Nanos deliver_time, std::function<void()> fn) {
     // the destination's merge point so time still never runs backwards.
     ++src->violations_;
   }
-  src->outbox_[static_cast<size_t>(dst)].push_back(
-      Shard::Envelope{deliver_time, src->send_seq_++, std::move(fn)});
+  src->outbox_.push_back(
+      Shard::Envelope{dst, deliver_time, src->send_seq_++, std::move(fn)});
 }
 
 void ShardGroup::RunSlice(Shard& s, Nanos horizon) {
@@ -147,55 +148,35 @@ Nanos ShardGroup::NextEventTime() const {
 }
 
 void ShardGroup::Exchange(ShardRunStats* rs) {
-  // Deterministic merge: for each destination (in shard-id order), gather
-  // the envelopes addressed to it from every source outbox and inject them
-  // in (deliver_time, source shard, source seq) order. The injection order
-  // fixes the (time, seq) positions the messages occupy in the destination
-  // event queue, so the merged schedule is a pure function of the messages
-  // — independent of pool size and thread timing.
-  struct Keyed {
-    Nanos deliver_time;
-    int src;
-    uint64_t seq;
-    std::function<void()>* fn;
-    bool operator<(const Keyed& other) const {
-      if (deliver_time != other.deliver_time) {
-        return deliver_time < other.deliver_time;
-      }
-      if (src != other.src) {
-        return src < other.src;
-      }
-      return seq < other.seq;
+  // Deterministic merge: gather every outbox's envelopes, sort them by
+  // (destination, deliver_time, source shard, source seq), and inject each
+  // destination's run inside one context, destinations in shard-id order.
+  // The injection order fixes the (time, seq) positions the messages occupy
+  // in the destination event queue, so the merged schedule is a pure
+  // function of the messages — independent of pool size and thread timing.
+  inbox_.clear();
+  for (int src = 0; src < size(); ++src) {
+    for (auto& env : shards_[static_cast<size_t>(src)]->outbox_) {
+      inbox_.push_back(Keyed{env.dst, env.deliver_time, src, env.seq, &env.fn});
     }
-  };
-  std::vector<Keyed> inbox;
-  for (int dst = 0; dst < size(); ++dst) {
-    inbox.clear();
-    for (int src = 0; src < size(); ++src) {
-      auto& lane = shards_[static_cast<size_t>(src)]
-                       ->outbox_[static_cast<size_t>(dst)];
-      for (auto& env : lane) {
-        inbox.push_back(Keyed{env.deliver_time, src, env.seq, &env.fn});
-      }
-    }
-    if (inbox.empty()) {
-      continue;
-    }
-    std::sort(inbox.begin(), inbox.end());
-    Shard& s = shard(dst);
+  }
+  std::sort(inbox_.begin(), inbox_.end(), [](const Keyed& a, const Keyed& b) {
+    return std::tie(a.dst, a.deliver_time, a.src, a.seq) <
+           std::tie(b.dst, b.deliver_time, b.src, b.seq);
+  });
+  for (size_t i = 0; i < inbox_.size();) {
+    Shard& s = shard(inbox_[i].dst);
     ShardContext ctx(&s);
-    for (const Keyed& k : inbox) {
+    for (; i < inbox_.size() && inbox_[i].dst == s.id_; ++i) {
       // A violating send may carry a stale timestamp; never rewind the
       // destination clock past events it has already executed.
-      Nanos at = std::max(k.deliver_time, s.sim_.Now());
-      s.sim_.SpawnAt(at, RunClosure(std::move(*k.fn)));
+      Nanos at = std::max(inbox_[i].deliver_time, s.sim_.Now());
+      s.sim_.SpawnAt(at, RunClosure(std::move(*inbox_[i].fn)));
       ++rs->messages;
     }
   }
   for (auto& s : shards_) {
-    for (auto& lane : s->outbox_) {
-      lane.clear();
-    }
+    s->outbox_.clear();
   }
 }
 

@@ -70,15 +70,14 @@ class Shard {
   friend class ShardContext;
 
   struct Envelope {
+    int dst;
     Nanos deliver_time;
     uint64_t seq;  // per-source send sequence (deterministic tie-break)
     std::function<void()> fn;
   };
 
-  Shard(ShardGroup* group, int id, int num_shards)
-      : group_(group), id_(id), sim_(Simulator::Detached{}) {
-    outbox_.resize(static_cast<size_t>(num_shards));
-  }
+  Shard(ShardGroup* group, int id)
+      : group_(group), id_(id), sim_(Simulator::Detached{}) {}
 
   ShardGroup* group_;
   int id_;
@@ -87,7 +86,9 @@ class Shard {
   uint64_t request_id_seq_ = 0;  // swapped into obs::g_request_id_seq
   uint64_t send_seq_ = 0;
   uint64_t violations_ = 0;
-  std::vector<std::vector<Envelope>> outbox_;  // one lane per destination
+  // This shard's sends since the last exchange, to any destination. Only
+  // the shard itself appends; only the coordinator drains.
+  std::vector<Envelope> outbox_;
 };
 
 struct ShardRunStats {
@@ -160,11 +161,22 @@ class ShardGroup {
   Nanos NextEventTime() const;
 
   // Barrier phase: drain every outbox into the destination simulators in
-  // (deliver_time, src shard, src seq) order. Coordinator thread only.
+  // (deliver_time, src shard, src seq) order per destination, in
+  // O(shards + messages log messages). Coordinator thread only.
   void Exchange(ShardRunStats* rs);
+
+  // One drained envelope, keyed by its merge position.
+  struct Keyed {
+    int dst;
+    Nanos deliver_time;
+    int src;
+    uint64_t seq;
+    std::function<void()>* fn;
+  };
 
   Config config_;
   std::vector<std::unique_ptr<Shard>> shards_;
+  std::vector<Keyed> inbox_;  // Exchange scratch, reused across epochs
   ShardRunStats stats_;
 };
 

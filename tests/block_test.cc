@@ -277,5 +277,30 @@ TEST(BlockDeadline, SortedDispatchIsElevatorOrder) {
   EXPECT_EQ(order, (std::vector<uint64_t>{100, 300, 500, 700, 900}));
 }
 
+// Requests dispatched in sorted order must leave the expiry FIFOs too: once
+// Next() has drained the elevator and the caller dropped what it got back,
+// the elevator may keep no request alive.
+TEST(BlockDeadline, DrainedRequestsAreReleased) {
+  Simulator sim;
+  BlockDeadlineElevator elv;
+  std::vector<std::weak_ptr<BlockRequest>> held;
+  for (int i = 0; i < 64; ++i) {
+    // Scrambled sectors: sorted order differs from arrival order.
+    auto r = MakeReq(static_cast<uint64_t>((i * 37) % 64) * 1024, kPageSize,
+                     /*write=*/i % 4 == 0);
+    r->enqueue_time = 0;
+    held.push_back(r);
+    elv.Add(std::move(r));
+  }
+  int dispatched = 0;
+  while (elv.Next() != nullptr) {
+    ++dispatched;
+  }
+  EXPECT_EQ(dispatched, 64);
+  for (const std::weak_ptr<BlockRequest>& w : held) {
+    EXPECT_TRUE(w.expired());
+  }
+}
+
 }  // namespace
 }  // namespace splitio

@@ -108,6 +108,33 @@ TEST(SplitDeadlineDetail, ExpiredReadJumpsWrites) {
   EXPECT_FALSE(first->is_write);
 }
 
+// Reads dispatched in sorted order must leave the read FIFO too: once Next()
+// has drained the scheduler and the caller dropped what it got back, the
+// scheduler may keep no request alive.
+TEST(SplitDeadlineDetail, DrainedReadsAreReleased) {
+  Simulator sim;
+  SplitDeadlineScheduler sched;
+  Process reader(1, "r");
+  Process writer(2, "w");
+  std::vector<std::weak_ptr<BlockRequest>> held;
+  for (int i = 0; i < 64; ++i) {
+    // Scrambled sectors: sorted order differs from arrival order.
+    auto r = MakeReq(static_cast<uint64_t>((i * 37) % 64) * 1024, kPageSize,
+                     /*write=*/i % 4 == 0, i % 4 == 0 ? &writer : &reader);
+    r->enqueue_time = 0;
+    held.push_back(r);
+    sched.Add(std::move(r));
+  }
+  int dispatched = 0;
+  while (sched.Next() != nullptr) {
+    ++dispatched;
+  }
+  EXPECT_EQ(dispatched, 64);
+  for (const std::weak_ptr<BlockRequest>& w : held) {
+    EXPECT_TRUE(w.expired());
+  }
+}
+
 // Fsync-critical (sync/journal) writes precede background writes.
 TEST(SplitDeadlineDetail, UrgentWritesPrecedeBackground) {
   Simulator sim;

@@ -2,18 +2,23 @@
 // protection, Split-Token / SCS-Token isolation and accounting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <memory>
+#include <set>
 #include <vector>
 
 #include "src/block/block_deadline.h"
 #include "src/block/cfq.h"
 #include "src/block/noop.h"
 #include "src/core/storage_stack.h"
+#include "src/metrics/counters.h"
 #include "src/sched/afq.h"
 #include "src/sched/scs_token.h"
 #include "src/sched/split_deadline.h"
 #include "src/sched/split_noop.h"
 #include "src/sched/split_token.h"
+#include "src/sim/random.h"
 #include "src/sim/simulator.h"
 #include "src/workload/workloads.h"
 
@@ -32,6 +37,91 @@ TEST(StrideState, ChargesInverselyToWeight) {
   EXPECT_DOUBLE_EQ(stride.Pass(1), 500.0);
   stride.SetPassAtLeast(1, 100.0);  // never lowers
   EXPECT_DOUBLE_EQ(stride.Pass(1), 500.0);
+}
+
+// The reference the heap index replaced: walk every active client.
+double BruteForceMinPass(StrideState& stride, const std::set<int32_t>& active) {
+  if (active.empty()) {
+    return 0;
+  }
+  double min_pass = std::numeric_limits<double>::max();
+  for (int32_t c : active) {
+    min_pass = std::min(min_pass, stride.Pass(c));
+  }
+  return min_pass;
+}
+
+// Randomized property test of the active-set index: interleave charges,
+// refunds, pass floors, activations and (single and bulk) deactivations
+// over ~1000 clients, and compare MinActivePass() with the brute-force walk
+// after every step. Weights are powers of two and costs multiples of 8, so
+// passes are exact and ties between clients are common.
+TEST(StrideState, ActiveMinMatchesBruteForceWalk) {
+  constexpr int kClients = 1000;
+  StrideState stride;
+  std::set<int32_t> active;
+  Rng rng(20151004);
+  for (int c = 0; c < kClients; ++c) {
+    stride.SetWeight(c, static_cast<double>(1 << rng.Below(4)));
+  }
+  auto client = [&]() { return static_cast<int32_t>(rng.Below(kClients)); };
+  size_t peak_active = 0;
+  for (int step = 0; step < 20000; ++step) {
+    int32_t c = client();
+    uint64_t op = rng.Below(10);
+    if (step % 2000 == 1999) {
+      // A Housekeep-style sweep drops a pseudo-random subset.
+      uint64_t modulus = rng.Below(4) + 2;
+      uint64_t offset = rng.Below(modulus);
+      auto drop = [=](int32_t x) {
+        return (static_cast<uint64_t>(x) * 2654435761u) % modulus == offset;
+      };
+      stride.DeactivateIf(drop);
+      std::erase_if(active, drop);
+    } else if (op < 3) {  // charge (BufferDirty, dispatch, completion)
+      stride.Charge(c, 8.0 * static_cast<double>(rng.Below(64)));
+    } else if (op < 5) {  // refund (BufferFree, revision downwards)
+      stride.Charge(c, -8.0 * static_cast<double>(rng.Below(64)));
+    } else if (op < 6) {  // floor at the minimum or at another client's pass
+      stride.SetPassAtLeast(c, rng.Below(2) == 0 ? stride.MinActivePass()
+                                                 : stride.Pass(client()));
+    } else if (op < 9) {
+      EXPECT_EQ(stride.Activate(c), active.insert(c).second);
+    } else {  // one client leaves
+      stride.DeactivateIf([c](int32_t x) { return x == c; });
+      active.erase(c);
+    }
+    peak_active = std::max(peak_active, active.size());
+    ASSERT_EQ(stride.MinActivePass(), BruteForceMinPass(stride, active))
+        << "step " << step;
+  }
+  EXPECT_GT(peak_active, 500u);
+}
+
+// Once every client has been seen, the index's operations never allocate
+// (the heap's capacity tracks the number of known clients).
+TEST(StrideState, IndexIsAllocationFreeOnceClientsAreKnown) {
+  constexpr int kClients = 1000;
+  StrideState stride;
+  for (int c = 0; c < kClients; ++c) {
+    stride.SetWeight(c, 1 + c % 8);
+  }
+  uint64_t before = counters().allocs;
+  double sink = 0;
+  for (int round = 0; round < 20; ++round) {
+    for (int c = 0; c < kClients; ++c) {
+      stride.Activate(c);
+      stride.Charge(c, (c * 7 + round) % 13 - 4.0);
+      stride.SetPassAtLeast(c, stride.MinActivePass());
+      sink += stride.MinActivePass();
+    }
+    stride.DeactivateIf([&](int32_t c) { return (c + round) % 3 != 0; });
+    sink += stride.MinActivePass();
+  }
+  stride.DeactivateIf([](int32_t) { return true; });
+  EXPECT_EQ(counters().allocs, before);
+  EXPECT_EQ(stride.MinActivePass(), 0.0);
+  EXPECT_NE(sink, 0.0);
 }
 
 TEST(TokenBucket, RefillAndDebt) {

@@ -88,23 +88,43 @@ TEST(ShardGroup, PingPongIdenticalAcrossPoolSizes) {
 
 // Same-epoch ties: messages from different source shards landing at the
 // same destination timestamp must execute in (deliver_time, src shard,
-// src seq) order, not pool-arrival order.
+// src seq) order, not pool-arrival order — also when every source
+// interleaves sends to several destinations (itself included) at
+// out-of-order times.
 TEST(ShardGroup, TieBreakBySourceShardThenSeq) {
+  struct Msg {
+    int dst;
+    Nanos at;
+  };
+  // Send k of source s is logged as s * 100 + k at its destination.
+  const Msg kSends[] = {{0, Usec(30)}, {2, Usec(10)}, {0, Usec(10)},
+                        {2, Usec(10)}, {0, Usec(10)}, {3, Usec(20)}};
   for (int threads : {1, 4}) {
     ShardGroup::Config gc;
     gc.shards = 4;
     gc.lookahead = Usec(10);
     gc.threads = threads;
     ShardGroup group(gc);
-    std::vector<int> order;
+    // One log per destination: each is written only by its own shard.
+    std::vector<std::vector<int>> log(4);
     for (int src : {3, 1, 2}) {  // deliberately not in id order
       group.Setup(src, [&, src]() {
-        group.Send(0, Usec(10), [&, src]() { order.push_back(src * 10); });
-        group.Send(0, Usec(10), [&, src]() { order.push_back(src * 10 + 1); });
+        for (int k = 0; k < 6; ++k) {
+          const Msg& s = kSends[k];
+          group.Send(s.dst, s.at, [&log, s, label = src * 100 + k]() {
+            EXPECT_EQ(Simulator::current().Now(), s.at);
+            log[static_cast<size_t>(s.dst)].push_back(label);
+          });
+        }
       });
     }
-    group.Run();
-    EXPECT_EQ(order, (std::vector<int>{10, 11, 20, 21, 30, 31}));
+    ShardRunStats rs = group.Run();
+    EXPECT_EQ(rs.messages, 18u);
+    EXPECT_EQ(log[0], (std::vector<int>{102, 104, 202, 204, 302, 304, 100,
+                                        200, 300}));
+    EXPECT_TRUE(log[1].empty());
+    EXPECT_EQ(log[2], (std::vector<int>{101, 103, 201, 203, 301, 303}));
+    EXPECT_EQ(log[3], (std::vector<int>{105, 205, 305}));
   }
 }
 
