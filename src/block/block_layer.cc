@@ -34,7 +34,8 @@ obs::TraceEvent RequestEvent(obs::EventType type, const BlockRequest& req) {
   }
   e.aux = req.journal_tid;
   e.t_aux = req.cache_first_dirty;
-  e.causes = req.causes.pids();
+  std::span<const int32_t> pids = req.causes.pids();
+  e.causes.assign(pids.begin(), pids.end());
   return e;
 }
 

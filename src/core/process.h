@@ -23,7 +23,8 @@ inline constexpr int kDefaultPriority = 4;  // Linux default (like writeback).
 
 class Process {
  public:
-  Process(int32_t pid, std::string name) : pid_(pid), name_(std::move(name)) {}
+  Process(int32_t pid, std::string name)
+      : pid_(pid), name_(std::move(name)), self_(CauseSet::Identity(pid)) {}
 
   int32_t pid() const { return pid_; }
   const std::string& name() const { return name_; }
@@ -61,16 +62,19 @@ class Process {
   }
 
   // The set of processes responsible for work this process performs now.
-  CauseSet Causes() const {
+  // The reference is invalidated by the next BeginProxy, AddProxyCause or
+  // EndProxy on this process.
+  const CauseSet& Causes() const {
     if (is_proxy_ && !proxy_causes_.empty()) {
       return proxy_causes_;
     }
-    return CauseSet(pid_);
+    return self_;
   }
 
  private:
   int32_t pid_;
   std::string name_;
+  CauseSet self_;
   IoClass io_class_ = IoClass::kBestEffort;
   int priority_ = kDefaultPriority;
   int account_ = -1;

@@ -19,7 +19,8 @@ void EmitTxnJoin(Process& cause, int64_t ino, uint64_t tid) {
   e.pid = cause.pid();
   e.ino = ino;
   e.aux = tid;
-  e.causes = cause.Causes().pids();
+  std::span<const int32_t> pids = cause.Causes().pids();
+  e.causes.assign(pids.begin(), pids.end());
   obs::EmitEvent(std::move(e));
 }
 
@@ -125,7 +126,8 @@ Task<void> Jbd2Journal::DoCommit(std::shared_ptr<Tx> tx) {
       e.pid = journal_task_->pid();
       e.aux = tx->id;
       e.result = tx->error;
-      e.causes = tx->causes.pids();
+      std::span<const int32_t> pids = tx->causes.pids();
+      e.causes.assign(pids.begin(), pids.end());
       obs::EmitEvent(std::move(e));
     }
     if (config_.durability_barriers) {

@@ -26,7 +26,8 @@ void XfsSim::JournalMetadata(Process& cause, int64_t ino, int blocks) {
     e.pid = cause.pid();
     e.ino = ino;
     e.aux = pending_.back().lsn;
-    e.causes = cause.Causes().pids();
+    std::span<const int32_t> pids = cause.Causes().pids();
+    e.causes.assign(pids.begin(), pids.end());
     obs::EmitEvent(std::move(e));
   }
 }
@@ -108,7 +109,8 @@ Task<int> XfsSim::LogForce() {
         e.pid = log_task_->pid();
         e.aux = batch_lsn;
         e.result = force_error;
-        e.causes = batch_causes.pids();
+        std::span<const int32_t> pids = batch_causes.pids();
+        e.causes.assign(pids.begin(), pids.end());
         obs::EmitEvent(std::move(e));
       }
     }

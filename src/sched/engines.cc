@@ -44,21 +44,21 @@ Task<void> DeadlineEngine::WriteEntry(Process& proc, int64_t ino,
 Nanos DeadlineEngine::EstimateFsyncCost(int64_t ino) const {
   // Buffer-dirty accounting gives us the dirty page set promptly (§3.2);
   // contiguous runs cost transfer time, each discontiguity a seek.
-  const std::map<uint64_t, Nanos>* dirty = ctx_.cache->DirtyIndices(ino);
-  if (dirty == nullptr || dirty->empty()) {
+  uint64_t pages = ctx_.cache->dirty_pages_of(ino);
+  if (pages == 0) {
     return 0;
   }
-  uint64_t runs = 1;
-  uint64_t prev = dirty->begin()->first;
-  for (auto it = std::next(dirty->begin()); it != dirty->end(); ++it) {
-    if (it->first != prev + 1) {
+  uint64_t runs = 0;
+  uint64_t next = 0;  // index that would continue the current run
+  ctx_.cache->ForEachDirty(ino, pages, [&](uint64_t idx) {
+    if (runs == 0 || idx != next) {
       ++runs;
     }
-    prev = it->first;
-  }
+    next = idx + 1;
+  });
   const BlockDevice& device = ctx_.block->device();
   Nanos seek = device.is_rotational() ? Msec(8) : Usec(200);
-  uint64_t bytes = dirty->size() * kPageSize;
+  uint64_t bytes = pages * kPageSize;
   return static_cast<Nanos>(runs) * seek +
          TransferTime(bytes, device.sequential_bw());
 }

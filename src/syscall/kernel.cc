@@ -21,7 +21,8 @@ void EmitSyscall(obs::EventType type, Process& proc, obs::SyscallOp op,
   e.bytes = static_cast<uint32_t>(bytes);
   e.aux = static_cast<uint64_t>(op);
   e.result = result;
-  e.causes = proc.Causes().pids();
+  std::span<const int32_t> pids = proc.Causes().pids();
+  e.causes.assign(pids.begin(), pids.end());
   obs::EmitEvent(std::move(e));
 }
 
