@@ -93,6 +93,35 @@ TEST(CowFs, RandomOverwritesBecomeSequentialOnDisk) {
   EXPECT_LE(write_sectors.size(), 2u);
 }
 
+// Dirty pages 5 and 7 get consecutive log-head sectors, so one request
+// writes both; its completion must end the writeback of exactly those
+// pages, not of 5 and 6.
+TEST(CowFs, NonAdjacentPagesInOneRequestAllLeaveWriteback) {
+  Simulator sim;
+  CowHarness h;
+  Process app(1, "app");
+  int data_writes = 0;
+  h.block->set_completion_hook([&](const BlockRequest& req) {
+    if (req.is_write && !req.is_journal) {
+      ++data_writes;
+    }
+  });
+  bool done = false;
+  auto body = [&]() -> Task<void> {
+    int64_t ino = co_await h.kernel->Creat(app, "/f");
+    co_await h.kernel->Write(app, ino, 5 * kPageSize, kPageSize);
+    co_await h.kernel->Write(app, ino, 7 * kPageSize, kPageSize);
+    co_await h.kernel->Fsync(app, ino);
+    done = true;
+  };
+  sim.Spawn(body());
+  sim.Run(Sec(30));
+  ASSERT_TRUE(done);
+  EXPECT_EQ(data_writes, 1);
+  EXPECT_EQ(h.cache->dirty_pages(), 0u);
+  EXPECT_EQ(h.cache->writeback_pages(), 0u);
+}
+
 TEST(CowFs, OverwriteLeavesOldLocationDeadAndRemaps) {
   Simulator sim;
   CowHarness h;
