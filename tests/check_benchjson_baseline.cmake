@@ -4,7 +4,9 @@
 # hooks, new counters, per-stack scopes) never drift the deterministic
 # figure benches: any intentional change must update the committed file in
 # tests/benchjson_baseline/ in the same commit that causes it.
-# Invoked by ctest; pass -DBENCH=<path-to-binary> -DBASELINE=<expected file>.
+# Invoked by ctest; pass -DBENCH=<path-to-binary> -DBASELINE=<expected file>,
+# and -DCOMPARE_ALLOCS=OFF to leave the toolchain-dependent `allocs` fields
+# out of the comparison.
 if(NOT DEFINED BENCH)
   message(FATAL_ERROR "pass -DBENCH=<path to a bench binary>")
 endif()
@@ -30,6 +32,10 @@ endif()
 
 file(READ ${BASELINE} expected)
 string(STRIP "${expected}" expected)
+if(DEFINED COMPARE_ALLOCS AND NOT COMPARE_ALLOCS)
+  string(REGEX REPLACE ",?\"allocs\":[0-9]+" "" actual "${actual}")
+  string(REGEX REPLACE ",?\"allocs\":[0-9]+" "" expected "${expected}")
+endif()
 if(NOT actual STREQUAL expected)
   message(FATAL_ERROR "BENCHJSON drifted from committed baseline.\n"
           "expected: ${expected}\n"
