@@ -21,9 +21,9 @@ struct Outcome {
 Outcome Run(bool revise) {
   Simulator sim;
   BundleOptions opt;
-  opt.split_token.revise_at_block_level = revise;
+  opt.sched.split_token.revise_at_block_level = revise;
   Bundle b = MakeBundle(SchedKind::kSplitToken, std::move(opt));
-  b.split_token->SetAccountLimit(1, 512.0 * 1024);
+  b.tokens->SetAccountLimit(1, 512.0 * 1024);
   Process* a = b.stack->NewProcess("A");
   Process* bp = b.stack->NewProcess("B");
   bp->set_account(1);

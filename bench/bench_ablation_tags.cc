@@ -22,8 +22,8 @@ Outcome Run(bool scalar_tags) {
   Simulator sim;
   BundleOptions opt;
   Bundle b = MakeBundle(SchedKind::kSplitToken, std::move(opt));
-  b.split_token->SetAccountLimit(1, 4.0 * 1024 * 1024);
-  b.split_token->SetAccountLimit(2, 4.0 * 1024 * 1024);
+  b.tokens->SetAccountLimit(1, 4.0 * 1024 * 1024);
+  b.tokens->SetAccountLimit(2, 4.0 * 1024 * 1024);
   Process* victim = b.stack->NewProcess("victim");     // pid is lower
   Process* rider = b.stack->NewProcess("freeloader");  // pid is higher
   victim->set_account(1);

@@ -20,8 +20,8 @@ struct Outcome {
 Outcome Run(bool own_writeback) {
   Simulator sim;
   BundleOptions opt;
-  opt.split_deadline.own_writeback = own_writeback;
-  opt.split_deadline.pdflush_dirty_margin_bytes = 32ULL << 20;
+  opt.sched.split_deadline.own_writeback = own_writeback;
+  opt.sched.split_deadline.pdflush_dirty_margin_bytes = 32ULL << 20;
   opt.stack.cache.writeback_daemon = !own_writeback;
   Bundle b = MakeBundle(SchedKind::kSplitDeadline, std::move(opt));
   Process* a = b.stack->NewProcess("A");

@@ -15,7 +15,7 @@ namespace {
 
 struct Pieces {
   std::unique_ptr<HddModel> device;
-  std::unique_ptr<SplitTokenScheduler> sched;
+  std::unique_ptr<ComposedScheduler> sched;
   std::unique_ptr<BlockLayer> block;
   std::unique_ptr<PageCache> cache;
   std::unique_ptr<Process> wb, ckpt, gc;
@@ -27,7 +27,7 @@ struct Pieces {
 Pieces MakeCowStack(bool tag_gc, double b_rate) {
   Pieces p;
   p.device = std::make_unique<HddModel>();
-  p.sched = std::make_unique<SplitTokenScheduler>();
+  p.sched = std::make_unique<ComposedScheduler>(SplitTokenSpec());
   p.sched->SetAccountLimit(1, b_rate);
   p.block = std::make_unique<BlockLayer>(p.device.get(), p.sched.get());
   p.cache = std::make_unique<PageCache>();

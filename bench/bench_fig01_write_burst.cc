@@ -25,8 +25,8 @@ Result Run(SchedKind kind) {
   BundleOptions opt;
   opt.stack.cache.total_ram = 4ULL << 30;
   Bundle b = MakeBundle(kind, std::move(opt));
-  if (b.split_token != nullptr) {
-    b.split_token->SetAccountLimit(1, 1.0 * 1024 * 1024);
+  if (b.tokens != nullptr) {
+    b.tokens->SetAccountLimit(1, 1.0 * 1024 * 1024);
   }
   Process* a = b.stack->NewProcess("A");
   Process* bp = b.stack->NewProcess("B");

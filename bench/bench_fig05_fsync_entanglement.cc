@@ -22,8 +22,8 @@ Row RunOne(uint64_t n_bytes) {
                           "/" + HumanBytes(n_bytes));
   Simulator sim;
   BundleOptions opt;
-  opt.block_deadline.read_expiry = Msec(20);
-  opt.block_deadline.write_expiry = Msec(20);
+  opt.sched.block_deadline.read_expiry = Msec(20);
+  opt.sched.block_deadline.write_expiry = Msec(20);
   Bundle b = MakeBundle(SchedKind::kBlockDeadline, std::move(opt));
   Process* a = b.stack->NewProcess("A");
   Process* bp = b.stack->NewProcess("B");

@@ -27,11 +27,11 @@ Outcome Run(SchedKind kind, bool ssd) {
     opt.stack.device = StackConfig::DeviceKind::kSsd;
   }
   if (kind == SchedKind::kSplitDeadline) {
-    opt.split_deadline.own_writeback = true;
+    opt.sched.split_deadline.own_writeback = true;
     opt.stack.cache.writeback_daemon = false;
   } else {
-    opt.block_deadline.read_expiry = ssd ? Msec(10) : Msec(20);
-    opt.block_deadline.write_expiry = ssd ? Msec(10) : Msec(20);
+    opt.sched.block_deadline.read_expiry = ssd ? Msec(10) : Msec(20);
+    opt.sched.block_deadline.write_expiry = ssd ? Msec(10) : Msec(20);
   }
   Bundle b = MakeBundle(kind, std::move(opt));
   Process* a = b.stack->NewProcess("A");

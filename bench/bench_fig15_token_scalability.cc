@@ -19,7 +19,7 @@ double RunSpin(int threads) {
   BundleOptions opt;
   opt.cores = 32;
   Bundle b = MakeBundle(SchedKind::kSplitToken, std::move(opt));
-  b.split_token->SetAccountLimit(1, 1.0 * 1024 * 1024);
+  b.tokens->SetAccountLimit(1, 1.0 * 1024 * 1024);
   Process* a = b.stack->NewProcess("A");
   int64_t ino = b.stack->fs().CreatePreallocated("/a", 8ULL << 30);
   WorkloadStats a_stats;
@@ -53,7 +53,7 @@ double RunB(BWorkload w, int threads) {
   BundleOptions opt;
   opt.cores = 32;
   Bundle b = MakeBundle(p.sched, std::move(opt));
-  b.split_token->SetAccountLimit(1, p.b_rate);
+  b.tokens->SetAccountLimit(1, p.b_rate);
   Process* a = b.stack->NewProcess("A");
   int64_t a_ino = b.stack->fs().CreatePreallocated("/a", 8ULL << 30);
   WorkloadStats a_stats;

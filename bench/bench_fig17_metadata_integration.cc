@@ -26,7 +26,7 @@ Row Run(StackConfig::FsKind fs, Nanos sleep) {
   BundleOptions opt;
   opt.stack.fs = fs;
   Bundle b = MakeBundle(SchedKind::kSplitToken, std::move(opt));
-  b.split_token->SetAccountLimit(1, 512.0 * 1024);  // tight metadata budget
+  b.tokens->SetAccountLimit(1, 512.0 * 1024);  // tight metadata budget
   Process* a = b.stack->NewProcess("A");
   Process* bp = b.stack->NewProcess("B");
   bp->set_account(1);

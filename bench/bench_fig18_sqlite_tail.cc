@@ -30,7 +30,7 @@ Row Run(SchedKind kind, uint64_t threshold) {
   opt.stack.cache.dirty_expire = Sec(600);
   opt.stack.cache.writeback_interval = Sec(60);
   if (kind == SchedKind::kSplitDeadline) {
-    opt.split_deadline.own_writeback = true;
+    opt.sched.split_deadline.own_writeback = true;
     opt.stack.cache.writeback_daemon = false;
   }
   Bundle b = MakeBundle(kind, std::move(opt));

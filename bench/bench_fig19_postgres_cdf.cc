@@ -28,12 +28,12 @@ Cdf Run(SchedKind kind, bool own_writeback) {
   BundleOptions opt;
   opt.stack.device = StackConfig::DeviceKind::kSsd;
   if (kind == SchedKind::kSplitDeadline) {
-    opt.split_deadline.own_writeback = own_writeback;
-    opt.split_deadline.pdflush_dirty_margin_bytes = 32ULL << 20;
+    opt.sched.split_deadline.own_writeback = own_writeback;
+    opt.sched.split_deadline.pdflush_dirty_margin_bytes = 32ULL << 20;
     opt.stack.cache.writeback_daemon = !own_writeback;
   } else {
-    opt.block_deadline.read_expiry = Msec(5);
-    opt.block_deadline.write_expiry = Msec(5);
+    opt.sched.block_deadline.read_expiry = Msec(5);
+    opt.sched.block_deadline.write_expiry = Msec(5);
   }
   Bundle b = MakeBundle(kind, std::move(opt));
   PgSim::Config config;

@@ -26,11 +26,8 @@ Outcome Run(SchedKind kind, BWorkload w, double a_alone_hint) {
   opt.cores = 4;  // the paper's 4-core 8 GB QEMU host
   opt.stack.cache.total_ram = 8ULL << 30;
   Bundle b = MakeBundle(kind, std::move(opt));
-  if (b.split_token != nullptr) {
-    b.split_token->SetAccountLimit(1, 1.0 * 1024 * 1024);
-  }
-  if (b.scs_token != nullptr) {
-    b.scs_token->SetAccountLimit(1, 1.0 * 1024 * 1024);
+  if (b.tokens != nullptr) {
+    b.tokens->SetAccountLimit(1, 1.0 * 1024 * 1024);
   }
   Process* vm_a = b.stack->NewProcess("qemu-A");
   Process* vm_b = b.stack->NewProcess("qemu-B");

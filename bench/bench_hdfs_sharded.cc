@@ -160,7 +160,8 @@ int CheckMode() {
   sc.perturb_lookahead = EnvInt("SPLITIO_SHARD_PERTURB", 0) != 0;
   if (const char* name = std::getenv("SPLITIO_SHARD_SCHED")) {
     if (!SchedKindFromName(name, &sc.sched)) {
-      std::fprintf(stderr, "%s\n", UnknownSchedMessage(name).c_str());
+      std::fprintf(stderr, "%s\n",
+                   UnknownSchedMessage(name, CanonicalSpecs()).c_str());
       return 2;
     }
   }

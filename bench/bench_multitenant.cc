@@ -1,5 +1,6 @@
 // Multi-tenant cloud backend — 1000 tenants, three service tiers, one
-// shared stack, all eight schedulers × {legacy, mq} block topologies.
+// shared stack, every registered scheduler × {legacy, mq} block
+// topologies.
 //
 // Gold tenants (20%) run OLTP commits (4 KB append + fsync) under a tight
 // p99.9 SLO; silver (30%) runs scans; bronze (50%) runs bulk buffered
@@ -24,6 +25,7 @@
 // split-token holds gold's p99.9 where CFQ breaks it — runs at >= 500
 // tenants; reduced counts are for smoke runs.
 #include <cstdlib>
+#include <string_view>
 
 #include "bench/common/flags.h"
 #include "bench/common/harness.h"
@@ -34,24 +36,11 @@ namespace {
 
 double Ms(Nanos ns) { return static_cast<double>(ns) / 1e6; }
 
-CloudBackendResult RunOne(SchedKind kind, bool mq, int tenants) {
-  StackCounterScope scope(std::string(SchedName(kind)) +
-                          (mq ? "/mq" : "/legacy"));
+CloudBackendResult RunOne(const char* sched, bool mq, int tenants) {
+  StackCounterScope scope(std::string(sched) + (mq ? "/mq" : "/legacy"));
   CloudBackendParams p;
   p.tenants = tenants;
-  p.sched = kind;
-  p.mq = mq;
-  return RunCloudBackend(p);
-}
-
-// Hybrid policy specs run through the same backend via their registered
-// name (CloudBackendParams::spec_name).
-CloudBackendResult RunOneSpec(const std::string& spec_name, bool mq,
-                              int tenants) {
-  StackCounterScope scope(spec_name + (mq ? "/mq" : "/legacy"));
-  CloudBackendParams p;
-  p.tenants = tenants;
-  p.spec_name = spec_name;
+  p.sched = sched;
   p.mq = mq;
   return RunCloudBackend(p);
 }
@@ -134,45 +123,29 @@ int main(int argc, char** argv) {
   bool cfq_burns = false;
   bool conservation_ok = true;
   for (bool mq : {false, true}) {
-    for (SchedKind kind : kAllSchedKinds) {
-      CloudBackendResult r = RunOne(kind, mq, tenants);
-      PrintRow(SchedName(kind), mq, r);
-      ReportRun(SchedName(kind), mq, r);
+    // Every registered scheduler, the hybrid compositions (deadline
+    // dispatch over hierarchical tokens, account-keyed AFQ) included: same
+    // mix, same admission path.
+    for (const RegisteredSpec& sched : RegisteredSpecs()) {
+      CloudBackendResult r = RunOne(sched.name, mq, tenants);
+      PrintRow(sched.name, mq, r);
+      ReportRun(sched.name, mq, r);
       if (!r.conservation_error.empty()) {
         conservation_ok = false;
         std::printf("  !! token conservation: %s\n",
                     r.conservation_error.c_str());
       }
       const CloudGroupOutcome* gold = r.Group("gold");
-      if (gold != nullptr) {
-        if (kind == SchedKind::kSplitToken && !mq) {
-          if (gold->violating_tenants == 0) {
-            split_holds = true;
-          }
-          if (gold->burn_alert_windows == 0) {
-            split_burn_clean = true;
-          }
+      std::string_view name = sched.name;
+      if (gold != nullptr && !mq) {
+        if (name == SchedName(SchedKind::kSplitToken)) {
+          split_holds = gold->violating_tenants == 0;
+          split_burn_clean = gold->burn_alert_windows == 0;
         }
-        if (kind == SchedKind::kCfq && !mq) {
-          if (gold->violating_tenants > 0) {
-            cfq_breaks = true;
-          }
-          if (gold->burn_alert_windows > 0) {
-            cfq_burns = true;
-          }
+        if (name == SchedName(SchedKind::kCfq)) {
+          cfq_breaks = gold->violating_tenants > 0;
+          cfq_burns = gold->burn_alert_windows > 0;
         }
-      }
-    }
-    // Hybrid composed policies: deadline dispatch over hierarchical tokens,
-    // and account-keyed AFQ — same mix, same admission path.
-    for (const char* spec_name : {"deadline-token", "tenant-afq"}) {
-      CloudBackendResult r = RunOneSpec(spec_name, mq, tenants);
-      PrintRow(spec_name, mq, r);
-      ReportRun(spec_name, mq, r);
-      if (!r.conservation_error.empty()) {
-        conservation_ok = false;
-        std::printf("  !! token conservation: %s\n",
-                    r.conservation_error.c_str());
       }
     }
   }
@@ -184,8 +157,7 @@ int main(int argc, char** argv) {
     StackCounterScope scope("split-token/reject");
     CloudBackendParams p;
     p.tenants = tenants;
-    p.sched = SchedKind::kSplitToken;
-    p.admission_reject = true;
+    p.admission_reject = true;  // the default split-token scheduler
     CloudBackendResult r = RunCloudBackend(p);
     std::printf("%-15s %-7s %8s %10s %10s %5s %10s %8s %8llu %8llu\n",
                 "split-token", "reject", "-", "-", "-", "-", "-", "-",

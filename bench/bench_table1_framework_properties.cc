@@ -90,7 +90,7 @@ double ProbeReordering(SchedKind kind) {
     Simulator sim;
     BundleOptions opt;
     if (kind == SchedKind::kSplitDeadline) {
-      opt.split_deadline.own_writeback = true;
+      opt.sched.split_deadline.own_writeback = true;
       opt.stack.cache.writeback_daemon = false;
     }
     Bundle b = MakeBundle(kind, std::move(opt));

@@ -14,43 +14,35 @@
 #include "src/core/sched_factory.h"
 #include "src/core/storage_stack.h"
 #include "src/obs/trace_sink.h"
+#include "src/sched/composed.h"
 #include "src/sim/simulator.h"
 #include "src/workload/workloads.h"
 
 namespace splitio {
 
-// A stack plus the typed pointers benches need to poke schedulers.
+// A stack plus the typed pointer benches need to set token budgets.
 struct Bundle {
   std::unique_ptr<CpuModel> cpu;
   std::unique_ptr<StorageStack> stack;
-  SplitTokenScheduler* split_token = nullptr;
-  ScsTokenScheduler* scs_token = nullptr;
-  SplitDeadlineScheduler* split_deadline = nullptr;
+  // The scheduler when it has a token budget axis (split-token, scs-token
+  // and token hybrids), else null.
+  ComposedScheduler* tokens = nullptr;
 };
 
 struct BundleOptions {
   int cores = 8;
   StackConfig stack;
-  BlockDeadlineConfig block_deadline;
-  SplitDeadlineConfig split_deadline;
-  SplitTokenConfig split_token;
-  ScsTokenConfig scs_token;
-  CfqConfig cfq;
+  SchedConfigs sched;
 };
 
 inline Bundle MakeBundle(SchedKind kind, BundleOptions opt = BundleOptions()) {
   Bundle b;
   b.cpu = std::make_unique<CpuModel>(opt.cores);
-  SchedConfigs configs;
-  configs.block_deadline = opt.block_deadline;
-  configs.split_deadline = opt.split_deadline;
-  configs.split_token = opt.split_token;
-  configs.scs_token = opt.scs_token;
-  configs.cfq = opt.cfq;
-  SchedInstance inst = MakeSched(kind, configs);
-  b.split_token = dynamic_cast<SplitTokenScheduler*>(inst.split.get());
-  b.scs_token = dynamic_cast<ScsTokenScheduler*>(inst.split.get());
-  b.split_deadline = dynamic_cast<SplitDeadlineScheduler*>(inst.split.get());
+  SchedInstance inst = MakeSched(kind, opt.sched);
+  auto* composed = dynamic_cast<ComposedScheduler*>(inst.split.get());
+  if (composed != nullptr && composed->has_token_budget()) {
+    b.tokens = composed;
+  }
   b.stack = std::make_unique<StorageStack>(opt.stack, b.cpu.get(),
                                            std::move(inst.split),
                                            std::move(inst.legacy));

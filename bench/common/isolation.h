@@ -67,11 +67,8 @@ inline IsolationResult RunIsolation(const IsolationParams& params) {
   BundleOptions opt;
   opt.stack.fs = params.fs;
   Bundle b = MakeBundle(params.sched, std::move(opt));
-  if (b.split_token != nullptr) {
-    b.split_token->SetAccountLimit(1, params.b_rate);
-  }
-  if (b.scs_token != nullptr) {
-    b.scs_token->SetAccountLimit(1, params.b_rate);
+  if (b.tokens != nullptr) {
+    b.tokens->SetAccountLimit(1, params.b_rate);
   }
 
   Process* a = b.stack->NewProcess("A");

@@ -41,20 +41,14 @@ inline std::vector<std::pair<std::string, Counters>>& StackDeltas() {
 }
 
 inline void PrintCountersObject(const Counters& c) {
-  auto u = [](uint64_t v) { return static_cast<unsigned long long>(v); };
-  std::printf(
-      "{\"sim_events\":%llu,\"sim_immediate\":%llu,"
-      "\"cache_lookups\":%llu,\"cache_hits\":%llu,\"pages_dirtied\":%llu,"
-      "\"block_submitted\":%llu,\"block_merged\":%llu,"
-      "\"block_completed\":%llu,\"device_flushes\":%llu,"
-      "\"faults_injected\":%llu,\"wb_errors\":%llu,"
-      "\"journal_commits\":%llu,\"wb_pages_flushed\":%llu,"
-      "\"mq_kicks\":%llu,\"device_busy_ns\":%llu,\"allocs\":%llu}",
-      u(c.sim_events), u(c.sim_immediate), u(c.cache_lookups), u(c.cache_hits),
-      u(c.pages_dirtied), u(c.block_submitted), u(c.block_merged),
-      u(c.block_completed), u(c.device_flushes), u(c.faults_injected),
-      u(c.wb_errors), u(c.journal_commits), u(c.wb_pages_flushed),
-      u(c.mq_kicks), u(c.device_busy_ns), u(c.allocs));
+  const char* sep = "{";
+#define SPLITIO_COUNTER_PRINT(name)                    \
+  std::printf("%s\"" #name "\":%llu", sep,             \
+              static_cast<unsigned long long>(c.name)); \
+  sep = ",";
+  SPLITIO_COUNTER_FIELDS(SPLITIO_COUNTER_PRINT)
+#undef SPLITIO_COUNTER_PRINT
+  std::printf("}");
 }
 
 inline void PrintJsonLine() {

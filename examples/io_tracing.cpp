@@ -13,7 +13,7 @@
 
 #include "src/core/storage_stack.h"
 #include "src/device/trace.h"
-#include "src/sched/split_token.h"
+#include "src/sched/composed.h"
 #include "src/sim/simulator.h"
 #include "src/workload/workloads.h"
 
@@ -23,7 +23,7 @@ int main() {
   Simulator sim;
   StackConfig config;
   CpuModel cpu(8);
-  auto sched = std::make_unique<SplitTokenScheduler>();
+  auto sched = std::make_unique<ComposedScheduler>(SplitTokenSpec());
   sched->SetAccountLimit(1, 8.0 * 1024 * 1024);
   StorageStack stack(config, &cpu, std::move(sched), nullptr);
   IoTracer tracer;

@@ -11,7 +11,7 @@
 #include <memory>
 
 #include "src/core/storage_stack.h"
-#include "src/sched/split_token.h"
+#include "src/sched/composed.h"
 #include "src/sim/simulator.h"
 #include "src/workload/workloads.h"
 
@@ -21,7 +21,7 @@ int main() {
   Simulator sim;
   StackConfig config;
   CpuModel cpu(8);
-  auto sched = std::make_unique<SplitTokenScheduler>();
+  auto sched = std::make_unique<ComposedScheduler>(SplitTokenSpec());
   sched->SetAccountLimit(/*batch=*/1, 20.0 * 1024 * 1024);
   sched->SetAccountLimit(/*noisy=*/2, 2.0 * 1024 * 1024);
   StorageStack stack(config, &cpu, std::move(sched), nullptr);

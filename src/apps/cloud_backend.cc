@@ -85,18 +85,13 @@ std::vector<TenantClass> CloudTenantMix(int tenants) {
 CloudBackendResult RunCloudBackend(const CloudBackendParams& params) {
   Simulator sim;
   CpuModel cpu(16);
-  SchedInstance inst;
-  if (!params.spec_name.empty()) {
-    PolicySpec spec;
-    if (!NamedPolicySpec(params.spec_name, &spec)) {
-      CloudBackendResult bad;
-      bad.conservation_error = UnknownSchedMessage(params.spec_name);
-      return bad;
-    }
-    inst = MakeSched(spec);
-  } else {
-    inst = MakeSched(params.sched);
+  PolicySpec spec;
+  if (!NamedPolicySpec(params.sched, &spec)) {
+    CloudBackendResult bad;
+    bad.conservation_error = UnknownSchedMessage(params.sched);
+    return bad;
   }
+  SchedInstance inst = MakeSched(spec);
   // Unified token-budget surface: split-token, scs-token, and any hybrid
   // spec with a token axis all expose the hierarchical accounts here.
   auto* composed = dynamic_cast<ComposedScheduler*>(inst.split.get());

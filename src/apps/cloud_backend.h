@@ -1,6 +1,6 @@
 // Cloud-backend scenario (ISSUE 7): one shared storage stack serving a
 // 1000+-tenant mix — the multi-tenant experiment bench_multitenant sweeps
-// across all eight schedulers.
+// across every registered scheduler.
 //
 // The mix is three service tiers over one HDD-backed ext4 stack:
 //
@@ -35,10 +35,9 @@ namespace splitio {
 
 struct CloudBackendParams {
   int tenants = 1000;
-  SchedKind sched = SchedKind::kSplitToken;
-  // Non-empty: run a registered PolicySpec (e.g. "deadline-token") instead
-  // of `sched`. Must name a NamedPolicySpec entry.
-  std::string spec_name;
+  // A registered scheduler name (RegisteredSpecs in src/sched/policy.h):
+  // a canonical kind or a hybrid such as "deadline-token".
+  std::string sched = "split-token";
   bool mq = false;  // multi-queue block layer (4 hw contexts, depth 16)
   uint64_t seed = 1;
   Nanos duration = Sec(20);

@@ -12,7 +12,7 @@ DfsCluster::DfsCluster(const Config& config)
   for (int i = 0; i < config_.workers; ++i) {
     StackConfig stack_config = config_.worker_stack;
     stack_config.first_pid = 10000 * (i + 1);
-    auto sched = std::make_unique<SplitTokenScheduler>();
+    auto sched = std::make_unique<ComposedScheduler>(SplitTokenSpec());
     worker_scheds_.push_back(sched.get());
     workers_.push_back(std::make_unique<StorageStack>(
         stack_config, cpu_.get(), std::move(sched), nullptr));
@@ -27,7 +27,7 @@ void DfsCluster::Start() {
 }
 
 void DfsCluster::SetAccountLimit(int account, double bytes_per_sec) {
-  for (SplitTokenScheduler* sched : worker_scheds_) {
+  for (ComposedScheduler* sched : worker_scheds_) {
     sched->SetAccountLimit(account, bytes_per_sec);
   }
 }

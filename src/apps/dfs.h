@@ -23,9 +23,9 @@
 
 #include "src/core/storage_stack.h"
 #include "src/metrics/stats.h"
-#include "src/workload/workloads.h"
-#include "src/sched/split_token.h"
+#include "src/sched/composed.h"
 #include "src/sim/random.h"
+#include "src/workload/workloads.h"
 
 namespace splitio {
 
@@ -72,7 +72,7 @@ class DfsCluster {
   Config config_;
   std::unique_ptr<CpuModel> cpu_;
   std::vector<std::unique_ptr<StorageStack>> workers_;
-  std::vector<SplitTokenScheduler*> worker_scheds_;
+  std::vector<ComposedScheduler*> worker_scheds_;
   std::vector<std::map<int, Process*>> server_procs_;
   Rng placement_rng_;
 };

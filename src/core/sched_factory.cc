@@ -2,25 +2,19 @@
 
 #include <cstring>
 
+#include "src/block/block_deadline.h"
+#include "src/block/cfq.h"
 #include "src/block/noop.h"
-#include "src/sched/afq.h"
 #include "src/sched/composed.h"
-#include "src/sched/split_noop.h"
 
 namespace splitio {
 
 const char* SchedName(SchedKind kind) {
-  switch (kind) {
-    case SchedKind::kNoop: return "block-noop";
-    case SchedKind::kCfq: return "cfq";
-    case SchedKind::kBlockDeadline: return "block-deadline";
-    case SchedKind::kSplitNoop: return "split-noop";
-    case SchedKind::kAfq: return "afq";
-    case SchedKind::kSplitDeadline: return "split-deadline";
-    case SchedKind::kSplitToken: return "split-token";
-    case SchedKind::kScsToken: return "scs-token";
-  }
-  return "?";
+  return RegisteredSpecs()[static_cast<size_t>(kind)].name;
+}
+
+std::span<const RegisteredSpec> CanonicalSpecs() {
+  return RegisteredSpecs().first(kCanonicalSpecCount);
 }
 
 bool SchedKindFromName(const char* name, SchedKind* out) {
@@ -33,11 +27,12 @@ bool SchedKindFromName(const char* name, SchedKind* out) {
   return false;
 }
 
-std::string UnknownSchedMessage(const std::string& token) {
+std::string UnknownSchedMessage(const std::string& token,
+                                std::span<const RegisteredSpec> accepted) {
   std::string msg = "unknown scheduler \"" + token + "\" (expected one of";
-  for (const std::string& name : AllPolicySpecNames()) {
+  for (const RegisteredSpec& entry : accepted) {
     msg += ' ';
-    msg += name;
+    msg += entry.name;
   }
   msg += ')';
   return msg;
@@ -59,39 +54,6 @@ PolicySpec SpecForKind(SchedKind kind, const SchedConfigs& configs) {
   return BlockNoopSpec();
 }
 
-SchedInstance MakeSched(SchedKind kind, const SchedConfigs& configs) {
-  SchedInstance out;
-  switch (kind) {
-    case SchedKind::kNoop:
-      out.legacy = std::make_unique<NoopElevator>();
-      break;
-    case SchedKind::kCfq:
-      out.legacy = std::make_unique<CfqElevator>(configs.cfq);
-      break;
-    case SchedKind::kBlockDeadline:
-      out.legacy =
-          std::make_unique<BlockDeadlineElevator>(configs.block_deadline);
-      break;
-    case SchedKind::kSplitNoop:
-      out.split = std::make_unique<SplitNoopScheduler>();
-      break;
-    case SchedKind::kAfq:
-      out.split = std::make_unique<AfqScheduler>(configs.afq);
-      break;
-    case SchedKind::kSplitDeadline:
-      out.split =
-          std::make_unique<SplitDeadlineScheduler>(configs.split_deadline);
-      break;
-    case SchedKind::kSplitToken:
-      out.split = std::make_unique<SplitTokenScheduler>(configs.split_token);
-      break;
-    case SchedKind::kScsToken:
-      out.split = std::make_unique<ScsTokenScheduler>(configs.scs_token);
-      break;
-  }
-  return out;
-}
-
 SchedInstance MakeSched(const PolicySpec& spec) {
   SchedInstance out;
   switch (spec.dispatch) {
@@ -110,6 +72,10 @@ SchedInstance MakeSched(const PolicySpec& spec) {
       break;
   }
   return out;
+}
+
+SchedInstance MakeSched(SchedKind kind, const SchedConfigs& configs) {
+  return MakeSched(SpecForKind(kind, configs));
 }
 
 }  // namespace splitio

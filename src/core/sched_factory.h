@@ -1,25 +1,24 @@
-// Scheduler factory: the one place that knows how to construct each of the
-// eight schedulers the experiments compare — and, since the policy-space
-// refactor, any declarative PolicySpec. The bench harness, the stress
-// subsystem, and tests all build stacks through this, so "all schedulers"
-// means the same set everywhere.
+// Scheduler factory: the one place that builds a scheduler. A scheduler is
+// a PolicySpec (src/sched/policy.h); MakeSched turns one into a legacy
+// elevator or a ComposedScheduler. SchedKind names the eight schedulers the
+// experiments compare — the canonical prefix of the spec registry — so the
+// bench harness, the stress subsystem and tests mean the same set by "all
+// schedulers".
 #ifndef SRC_CORE_SCHED_FACTORY_H_
 #define SRC_CORE_SCHED_FACTORY_H_
 
+#include <iterator>
 #include <memory>
+#include <span>
 #include <string>
 
-#include "src/block/block_deadline.h"
-#include "src/block/cfq.h"
 #include "src/block/elevator.h"
 #include "src/core/scheduler.h"
 #include "src/sched/policy.h"
-#include "src/sched/scs_token.h"
-#include "src/sched/split_deadline.h"
-#include "src/sched/split_token.h"
 
 namespace splitio {
 
+// In registry order: SchedName(kind) is RegisteredSpecs()[kind].name.
 enum class SchedKind {
   kNoop,
   kCfq,
@@ -37,17 +36,22 @@ inline constexpr SchedKind kAllSchedKinds[] = {
     SchedKind::kAfq,           SchedKind::kSplitDeadline,
     SchedKind::kSplitToken,    SchedKind::kScsToken,
 };
+static_assert(std::size(kAllSchedKinds) == kCanonicalSpecCount);
 
 const char* SchedName(SchedKind kind);
 
 // Parses a SchedName() string. Returns false on an unknown name.
 bool SchedKindFromName(const char* name, SchedKind* out);
 
+// The registry entries a SchedKind can name (its canonical prefix).
+std::span<const RegisteredSpec> CanonicalSpecs();
+
 // The shared unknown-scheduler diagnostic: names the offending token and
-// lists every accepted name (the eight kinds plus the registered hybrid
-// specs). Used by the scenario parser, stress_runner --sched, and
-// sched_search so all three report the same message.
-std::string UnknownSchedMessage(const std::string& token);
+// lists the names the caller accepts — every registered name by default, or
+// CanonicalSpecs() where only a SchedKind can be stored.
+std::string UnknownSchedMessage(
+    const std::string& token,
+    std::span<const RegisteredSpec> accepted = RegisteredSpecs());
 
 // Per-scheduler tuning knobs, all defaulted.
 struct SchedConfigs {
@@ -59,9 +63,7 @@ struct SchedConfigs {
   AfqConfig afq;
 };
 
-// The canonical PolicySpec for a SchedKind: MakeSched(kind, configs) and
-// MakeSched(SpecForKind(kind, configs)) produce byte-identical schedules
-// (the policy_equivalence ctest proves it).
+// The canonical PolicySpec for a SchedKind, with its configs applied.
 PolicySpec SpecForKind(SchedKind kind,
                        const SchedConfigs& configs = SchedConfigs());
 
@@ -72,13 +74,14 @@ struct SchedInstance {
   std::unique_ptr<Elevator> legacy;
 };
 
-SchedInstance MakeSched(SchedKind kind,
-                        const SchedConfigs& configs = SchedConfigs());
-
 // Builds a scheduler from a declarative spec: a legacy elevator for the
 // legacy dispatch kinds, a ComposedScheduler otherwise. The spec must pass
 // ValidateSpec.
 SchedInstance MakeSched(const PolicySpec& spec);
+
+// MakeSched(SpecForKind(kind, configs)).
+SchedInstance MakeSched(SchedKind kind,
+                        const SchedConfigs& configs = SchedConfigs());
 
 }  // namespace splitio
 

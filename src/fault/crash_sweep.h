@@ -10,24 +10,14 @@
 #include <string>
 #include <vector>
 
+#include "src/core/sched_factory.h"
 #include "src/fault/crash_checker.h"
 #include "src/sim/time.h"
 
 namespace splitio {
 
 struct CrashSweepOptions {
-  // Scheduler under test: the paper's split schedulers plus block-level
-  // baselines.
-  enum class Sched {
-    kNoop,
-    kCfq,
-    kBlockDeadline,
-    kAfq,
-    kSplitDeadline,
-    kSplitToken,
-  };
-
-  Sched sched = Sched::kSplitDeadline;
+  SchedKind sched = SchedKind::kSplitDeadline;  // scheduler under test
   bool xfs = false;  // ext4 otherwise
   bool ssd = false;  // HDD otherwise
   Nanos horizon = Sec(10);
@@ -53,8 +43,6 @@ struct CrashSweepOptions {
   int mq_hw_queues = 1;
   int mq_queue_depth = 1;
 };
-
-const char* CrashSweepSchedName(CrashSweepOptions::Sched sched);
 
 struct CrashSweepResult {
   uint64_t crash_points = 0;

@@ -13,58 +13,54 @@
 
 namespace splitio {
 
+// The counter fields, in BENCHJSON key order. This one list generates the
+// struct, Delta, Add, and the BENCHJSON counters object
+// (bench/common/report.h); X(name) is applied to each field.
+#define SPLITIO_COUNTER_FIELDS(X)                                            \
+  /* Simulator: wake-ups resumed, and how many took the O(1) same-time */    \
+  /* FIFO fast path instead of the binary heap. */                           \
+  X(sim_events)                                                              \
+  X(sim_immediate)                                                           \
+  /* Page cache. */                                                          \
+  X(cache_lookups)                                                           \
+  X(cache_hits)                                                              \
+  X(pages_dirtied)                                                           \
+  /* Block layer. */                                                         \
+  X(block_submitted)                                                         \
+  X(block_merged)                                                            \
+  X(block_completed)                                                         \
+  /* Device persistence / fault injection. */                                \
+  X(device_flushes)                                                          \
+  X(faults_injected)                                                         \
+  X(wb_errors)                                                               \
+  /* File system / writeback activity. */                                    \
+  X(journal_commits)  /* jbd2 commit records + XFS log forces */             \
+  X(wb_pages_flushed) /* pages handed to the block layer */                  \
+  X(mq_kicks)         /* hardware-context wakeups (blk-mq) */                \
+  /* Simulated nanoseconds the device spent servicing commands (media */     \
+  /* transfers, fault-injected stalls, cache flushes). With parallel */      \
+  /* service channels the per-channel times add up, so over an interval */   \
+  /* this can exceed wall (simulated) time — it is occupancy, not */         \
+  /* utilization. Makes busy fraction available in BENCHJSON even with */    \
+  /* telemetry off. */                                                       \
+  X(device_busy_ns)                                                          \
+  /* Heap allocations (global operator new, src/metrics/alloc_hook.cc) — */  \
+  /* a cheap proxy for allocator pressure on the simulation hot path. */     \
+  X(allocs)
+
 struct Counters {
-  // Simulator: wake-ups resumed, and how many took the O(1) same-time
-  // FIFO fast path instead of the binary heap.
-  uint64_t sim_events = 0;
-  uint64_t sim_immediate = 0;
-  // Page cache.
-  uint64_t cache_lookups = 0;
-  uint64_t cache_hits = 0;
-  uint64_t pages_dirtied = 0;
-  // Block layer.
-  uint64_t block_submitted = 0;
-  uint64_t block_merged = 0;
-  uint64_t block_completed = 0;
-  // Device persistence / fault injection.
-  uint64_t device_flushes = 0;
-  uint64_t faults_injected = 0;
-  uint64_t wb_errors = 0;
-  // File system / writeback activity.
-  uint64_t journal_commits = 0;    // jbd2 commit records + XFS log forces
-  uint64_t wb_pages_flushed = 0;   // pages handed to the block layer
-  uint64_t mq_kicks = 0;           // hardware-context wakeups (blk-mq)
-  // Simulated nanoseconds the device spent servicing commands (media
-  // transfers, fault-injected stalls, cache flushes). With parallel service
-  // channels the per-channel times add up, so over an interval this can
-  // exceed wall (simulated) time — it is occupancy, not utilization. Makes
-  // busy fraction available in BENCHJSON even with telemetry off.
-  uint64_t device_busy_ns = 0;
-  // Heap allocations (global operator new, src/metrics/alloc_hook.cc) —
-  // a cheap proxy for allocator pressure on the simulation hot path.
-  uint64_t allocs = 0;
+#define SPLITIO_COUNTER_DECLARE(name) uint64_t name = 0;
+  SPLITIO_COUNTER_FIELDS(SPLITIO_COUNTER_DECLARE)
+#undef SPLITIO_COUNTER_DECLARE
 
   // Field-wise `*this - earlier`. Counters only grow, so snapshotting before
   // a stack runs and subtracting afterwards attributes activity to that
   // stack even though the globals accumulate across the whole binary.
   Counters Delta(const Counters& earlier) const {
     Counters d;
-    d.sim_events = sim_events - earlier.sim_events;
-    d.sim_immediate = sim_immediate - earlier.sim_immediate;
-    d.cache_lookups = cache_lookups - earlier.cache_lookups;
-    d.cache_hits = cache_hits - earlier.cache_hits;
-    d.pages_dirtied = pages_dirtied - earlier.pages_dirtied;
-    d.block_submitted = block_submitted - earlier.block_submitted;
-    d.block_merged = block_merged - earlier.block_merged;
-    d.block_completed = block_completed - earlier.block_completed;
-    d.device_flushes = device_flushes - earlier.device_flushes;
-    d.faults_injected = faults_injected - earlier.faults_injected;
-    d.wb_errors = wb_errors - earlier.wb_errors;
-    d.journal_commits = journal_commits - earlier.journal_commits;
-    d.wb_pages_flushed = wb_pages_flushed - earlier.wb_pages_flushed;
-    d.mq_kicks = mq_kicks - earlier.mq_kicks;
-    d.device_busy_ns = device_busy_ns - earlier.device_busy_ns;
-    d.allocs = allocs - earlier.allocs;
+#define SPLITIO_COUNTER_DELTA(name) d.name = name - earlier.name;
+    SPLITIO_COUNTER_FIELDS(SPLITIO_COUNTER_DELTA)
+#undef SPLITIO_COUNTER_DELTA
     return d;
   }
 
@@ -74,22 +70,9 @@ struct Counters {
   // — integer addition makes the fold exact, so a sharded run's counter
   // block is byte-identical to the sequential run's.
   void Add(const Counters& other) {
-    sim_events += other.sim_events;
-    sim_immediate += other.sim_immediate;
-    cache_lookups += other.cache_lookups;
-    cache_hits += other.cache_hits;
-    pages_dirtied += other.pages_dirtied;
-    block_submitted += other.block_submitted;
-    block_merged += other.block_merged;
-    block_completed += other.block_completed;
-    device_flushes += other.device_flushes;
-    faults_injected += other.faults_injected;
-    wb_errors += other.wb_errors;
-    journal_commits += other.journal_commits;
-    wb_pages_flushed += other.wb_pages_flushed;
-    mq_kicks += other.mq_kicks;
-    device_busy_ns += other.device_busy_ns;
-    allocs += other.allocs;
+#define SPLITIO_COUNTER_ADD(name) name += other.name;
+    SPLITIO_COUNTER_FIELDS(SPLITIO_COUNTER_ADD)
+#undef SPLITIO_COUNTER_ADD
   }
 };
 

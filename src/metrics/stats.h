@@ -1,12 +1,10 @@
-// Measurement helpers: latency percentiles, throughput, time series.
+// Measurement helpers: latency percentiles and summary statistics.
 #ifndef SRC_METRICS_STATS_H_
 #define SRC_METRICS_STATS_H_
 
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
-#include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "src/sim/time.h"
@@ -91,45 +89,6 @@ class LatencyRecorder {
 
   std::vector<Nanos> samples_;
   bool sorted_ = true;
-};
-
-// Accumulates bytes moved and reports MB/s over the elapsed interval.
-class ThroughputMeter {
- public:
-  void Start(Nanos now) { start_ = now; }
-  void AddBytes(uint64_t bytes) { bytes_ += bytes; }
-
-  uint64_t bytes() const { return bytes_; }
-
-  double MBps(Nanos now) const {
-    Nanos elapsed = now - start_;
-    if (elapsed <= 0) {
-      return 0;
-    }
-    return static_cast<double>(bytes_) / (1024.0 * 1024.0) /
-           ToSeconds(elapsed);
-  }
-
-  void Reset(Nanos now) {
-    start_ = now;
-    bytes_ = 0;
-  }
-
- private:
-  Nanos start_ = 0;
-  uint64_t bytes_ = 0;
-};
-
-// (time, value) series, e.g. throughput sampled once per simulated second.
-class TimeSeries {
- public:
-  void Add(Nanos t, double value) { points_.emplace_back(t, value); }
-  const std::vector<std::pair<Nanos, double>>& points() const {
-    return points_;
-  }
-
- private:
-  std::vector<std::pair<Nanos, double>> points_;
 };
 
 // Summary statistics over a set of values.

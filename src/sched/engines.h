@@ -1,13 +1,12 @@
-// Policy-primitive engines: the mechanism halves of the historical
-// scheduler classes, factored out so ComposedScheduler (composed.h) can mix
-// them per PolicySpec axis.
+// Policy-primitive engines: the mechanisms of the paper's schedulers, one
+// per engine, so ComposedScheduler (composed.h) can mix them per PolicySpec
+// axis.
 //
-// Each engine is a plain struct-like class (no virtual hooks): it holds the
-// exact state and logic its monolithic ancestor had, and the composed
-// scheduler routes SplitScheduler hooks into it. The bodies are verbatim
-// extractions — src/sched/{afq,split_deadline,split_token,scs_token}.cc
-// moved here, not rewritten — because the figure benches pin byte-identical
-// schedules (tests/benchjson_baseline/) against the old classes.
+// Each engine is a plain struct-like class (no virtual hooks): it holds one
+// scheduler's state and logic, and the composed scheduler routes
+// SplitScheduler hooks into it. The figure benches pin their schedules
+// byte for byte (tests/benchjson_baseline/), so changes here must keep
+// them.
 //
 //   DeadlineEngine  fsync-deadline admission, read deadlines, urgent fsync
 //                   writes, sorted dispatch batches, writeback triggers
@@ -45,7 +44,7 @@ class ReadySink {
 };
 
 // ---------------------------------------------------------------------------
-// DeadlineEngine (from SplitDeadlineScheduler).
+// DeadlineEngine (Split-Deadline, SplitDeadlineSpec).
 // ---------------------------------------------------------------------------
 class DeadlineEngine {
  public:
@@ -105,13 +104,13 @@ class DeadlineEngine {
 };
 
 // ---------------------------------------------------------------------------
-// StrideEngine (from AfqScheduler).
+// StrideEngine (AFQ, AfqSpec).
 //
 // Queues and passes are keyed by *client*: the submitting pid under
-// QueueKey::kPid (byte-identical to the old AfqScheduler), or the token
-// account under QueueKey::kAccount (tenant-afq hybrid). Account clients map
-// to ids <= -2 (client = -2 - account) so they can never collide with pids
-// (>= 0) or the anonymous no-submitter queue (-1).
+// QueueKey::kPid (the paper's AFQ), or the token account under
+// QueueKey::kAccount (tenant-afq hybrid). Account clients map to ids <= -2
+// (client = -2 - account) so they can never collide with pids (>= 0) or
+// the anonymous no-submitter queue (-1).
 // ---------------------------------------------------------------------------
 class StrideEngine {
  public:
@@ -194,7 +193,7 @@ class StrideEngine {
 };
 
 // ---------------------------------------------------------------------------
-// TokenEngine (from SplitTokenScheduler).
+// TokenEngine (Split-Token, SplitTokenSpec).
 // ---------------------------------------------------------------------------
 class TokenEngine {
  public:
@@ -244,7 +243,7 @@ class TokenEngine {
 };
 
 // ---------------------------------------------------------------------------
-// ScsEngine (from ScsTokenScheduler).
+// ScsEngine (SCS-Token, ScsTokenSpec).
 // ---------------------------------------------------------------------------
 class ScsEngine {
  public:

@@ -1,6 +1,7 @@
 #include "src/sched/policy.h"
 
 #include <cstdio>
+#include <iterator>
 
 #include "src/sim/random.h"
 #include "src/workload/json_mini.h"
@@ -209,39 +210,35 @@ PolicySpec TenantAfqSpec() {
   return spec;
 }
 
-const std::vector<std::string>& AllPolicySpecNames() {
-  static const std::vector<std::string> names = {
-      "block-noop", "cfq",         "block-deadline", "split-noop",
-      "afq",        "split-deadline", "split-token",  "scs-token",
-      "deadline-token", "tenant-afq"};
-  return names;
-}
+namespace {
+
+// Canonical kinds first, in SchedKind order; then the hybrids.
+constexpr RegisteredSpec kRegistry[] = {
+    {"block-noop", [] { return BlockNoopSpec(); }},
+    {"cfq", [] { return CfqSpec(); }},
+    {"block-deadline", [] { return BlockDeadlineSpec(); }},
+    {"split-noop", [] { return SplitNoopSpec(); }},
+    {"afq", [] { return AfqSpec(); }},
+    {"split-deadline", [] { return SplitDeadlineSpec(); }},
+    {"split-token", [] { return SplitTokenSpec(); }},
+    {"scs-token", [] { return ScsTokenSpec(); }},
+    {"deadline-token", [] { return DeadlineTokenSpec(); }},
+    {"tenant-afq", [] { return TenantAfqSpec(); }},
+};
+static_assert(std::size(kRegistry) > kCanonicalSpecCount);
+
+}  // namespace
+
+std::span<const RegisteredSpec> RegisteredSpecs() { return kRegistry; }
 
 bool NamedPolicySpec(const std::string& name, PolicySpec* out) {
-  if (name == "block-noop") {
-    *out = BlockNoopSpec();
-  } else if (name == "cfq") {
-    *out = CfqSpec();
-  } else if (name == "block-deadline") {
-    *out = BlockDeadlineSpec();
-  } else if (name == "split-noop") {
-    *out = SplitNoopSpec();
-  } else if (name == "afq") {
-    *out = AfqSpec();
-  } else if (name == "split-deadline") {
-    *out = SplitDeadlineSpec();
-  } else if (name == "split-token") {
-    *out = SplitTokenSpec();
-  } else if (name == "scs-token") {
-    *out = ScsTokenSpec();
-  } else if (name == "deadline-token") {
-    *out = DeadlineTokenSpec();
-  } else if (name == "tenant-afq") {
-    *out = TenantAfqSpec();
-  } else {
-    return false;
+  for (const RegisteredSpec& entry : kRegistry) {
+    if (name == entry.name) {
+      *out = entry.build();
+      return true;
+    }
   }
-  return true;
+  return false;
 }
 
 std::string ValidateSpec(const PolicySpec& spec) {

@@ -1,9 +1,8 @@
-// Declarative scheduling-policy space (ROADMAP item 4, Halide-style
-// algorithm/schedule split).
+// Declarative scheduling-policy space (Halide-style algorithm/schedule
+// split).
 //
-// A scheduler is no longer a monolithic class: it is a PolicySpec — a
-// composition of orthogonal primitives, one per layer of the split
-// framework (§3, §4.2):
+// A scheduler is not a class: it is a PolicySpec — a composition of
+// orthogonal primitives, one per layer of the split framework (§3, §4.2):
 //
 //   tag       how the memory hooks react to cause tags (ignore / count /
 //             preliminary cost charging);
@@ -19,20 +18,22 @@
 //             with a capped dirty margin + write throttling, or
 //             scheduler-owned writeback).
 //
-// Each of the eight historical SchedKinds is one point in this space
-// (SpecForKind in sched_factory.h); hybrids like deadline-over-tokens are
-// one-liners (DeadlineTokenSpec). ComposedScheduler (composed.h)
-// interprets a spec; tools/sched_search searches the space.
+// The paper's schedulers are points in this space (the spec builders
+// below); hybrids like deadline-over-tokens are just other points.
+// RegisteredSpecs() is the one list of scheduler names. MakeSched
+// (src/core/sched_factory.h) builds a scheduler from a spec, and
+// ComposedScheduler (composed.h) interprets it; tools/sched_search searches
+// the space.
 //
-// This header also owns the per-primitive config structs (they used to
-// live with the monolithic scheduler classes); it depends only on
-// src/sim/time.h so every layer can include it.
+// This header also owns the per-primitive config structs; it depends only
+// on src/sim/time.h so every layer can include it.
 #ifndef SRC_SCHED_POLICY_H_
 #define SRC_SCHED_POLICY_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
-#include <vector>
 
 #include "src/sim/time.h"
 
@@ -46,7 +47,7 @@ struct ParseError;
 }  // namespace jsonmini
 
 // ---------------------------------------------------------------------------
-// Per-primitive configs (formerly per-scheduler-class configs).
+// Per-primitive configs.
 // ---------------------------------------------------------------------------
 
 // Stride fair-queuing knobs (AFQ, §5.1).
@@ -203,29 +204,111 @@ struct PolicySpec {
 // Canonical and hybrid spec builders.
 // ---------------------------------------------------------------------------
 
+// Block-level baselines: legacy single-queue elevators with no split-level
+// axis (src/block/noop.h, cfq.h, block_deadline.h).
 PolicySpec BlockNoopSpec();
 PolicySpec CfqSpec(const CfqConfig& config = CfqConfig());
 PolicySpec BlockDeadlineSpec(
     const BlockDeadlineConfig& config = BlockDeadlineConfig());
+
+// No-op split scheduler: attaches every hook but performs no scheduling —
+// all I/O dispatched FIFO, all hooks accounted but ignored. Measures the
+// overhead of the framework itself (Figure 9) against a no-op block-level
+// elevator. tag=count, dispatch=fifo; ComposedScheduler::dirty_events() is
+// the tag-rule counter.
 PolicySpec SplitNoopSpec();
+
+// AFQ — Actually Fair Queuing (§5.1), a two-level stride scheduler:
+//  - reads are scheduled at the block level (below the cache, so hits stay
+//    free) from per-process queues, picked by minimum stride pass, with
+//    CFQ-style anticipation for synchronous readers;
+//  - writes and the calls that cause writes (fsync, creat, mkdir) are
+//    scheduled at the system-call level, *before* the file system
+//    entangles them in a journal transaction: a process whose stride pass
+//    runs ahead of its peers sleeps in the entry hook;
+//  - block-level writes are dispatched immediately: below the journal, a
+//    low-priority block may be a prerequisite of a high-priority fsync.
+// Whenever a block request is dispatched, its estimated device cost (seek
+// model) is charged to the responsible processes from the request's cause
+// tag, so delegated writeback and journal I/O are billed correctly.
+// tag=causes, dispatch=stride, budget=stride-pass (StrideEngine).
 PolicySpec AfqSpec(const AfqConfig& config = AfqConfig());
+
+// Split-Deadline (§5.2): deadlines attach to *fsync calls* instead of block
+// writes. Built on the Block-Deadline structure, with three changes:
+//  - the block-write deadline queue is replaced by an fsync-deadline queue
+//    at the system-call level: concurrent fsyncs are admitted in deadline
+//    order;
+//  - before issuing a costly fsync (estimated from the buffer-dirty hook's
+//    running count of the file's dirty data), the scheduler launches
+//    asynchronous writeback of the file and waits for the dirty amount to
+//    drop, so the eventual journal commit is cheap and other deadlines are
+//    unaffected;
+//  - optionally the scheduler owns writeback entirely (the paper's
+//    recommended mode, §7.1.2): the kernel daemon is disabled and the
+//    scheduler flushes dirty data only when no deadline is at risk. With
+//    the daemon left on (Split-Pdflush), write syscalls are throttled at a
+//    lower dirty cap instead.
+// dispatch=deadline, writeback picked from config.own_writeback
+// (DeadlineEngine).
 PolicySpec SplitDeadlineSpec(
     const SplitDeadlineConfig& config = SplitDeadlineConfig());
+
+// Split-Token (§5.3): token-bucket resource limiting with split-level
+// accounting. Tokens are *normalized bytes*: the cost of an I/O pattern as
+// the equivalent amount of sequential I/O. Accounting happens twice:
+//  - promptly, at the buffer-dirty hook, using a preliminary model based on
+//    the randomness of offsets within the file;
+//  - accurately, at block-level completion, where the real locations,
+//    amplification (journal writes!) and achieved sequentiality are known;
+//    the preliminary charge carried by the request is revised (extra
+//    charge or refund).
+// Only while an account's balance is negative are its write-path system
+// calls (write, fsync, creat, mkdir) and block-level reads throttled.
+// Block-level writes are never throttled (ordering), and system-call reads
+// never are (cache hits stay free). tag=causes, dispatch=fifo,
+// budget=hier-tokens (TokenEngine); the account-limit API is
+// ComposedScheduler's.
 PolicySpec SplitTokenSpec(const SplitTokenConfig& config = SplitTokenConfig());
+
+// SCS-Token: the system-call-scheduling token bucket of Craciunas et al.
+// [18, 19], the paper's baseline (§2.3.3). All accounting and throttling
+// happen at the system-call level: every read and write call is charged
+// its *byte count* — the framework cannot tell cache hits from misses,
+// overwrites of buffered data from new writes, or sequential from random
+// I/O — and calls block at entry while the account balance is negative.
+// The block level is a pass-through FIFO and the memory hooks are unused.
+// Reproduced consequences: random I/O is under-charged (isolation failure,
+// Figure 6) and in-memory I/O over-charged (an 837x slowdown for write-mem,
+// Figure 14). dispatch=fifo, budget=syscall-tokens (ScsEngine).
 PolicySpec ScsTokenSpec(const ScsTokenConfig& config = ScsTokenConfig());
 
-// Hybrids the monolithic classes could not express (the point of the
-// refactor): fsync-deadline dispatch *over* hierarchical token budgets, and
+// Hybrids: fsync-deadline dispatch *over* hierarchical token budgets, and
 // stride fair queuing between tenant accounts instead of processes.
 PolicySpec DeadlineTokenSpec();
 PolicySpec TenantAfqSpec();
 
-// Every registered spec name, canonical kinds first. Backs NamedPolicySpec
-// and the shared unknown-scheduler error message.
-const std::vector<std::string>& AllPolicySpecNames();
+// ---------------------------------------------------------------------------
+// The registry: the one list of scheduler names.
+// ---------------------------------------------------------------------------
 
-// Builds the registered spec with this name (the eight canonical kinds plus
-// the hybrids). Returns false for unknown names.
+// A registered scheduler: its name and the builder of its default spec
+// (whose name it is).
+struct RegisteredSpec {
+  const char* name;
+  PolicySpec (*build)();
+};
+
+// How many registry entries are canonical kinds: they come first, in
+// SchedKind order (src/core/sched_factory.h indexes them by kind); the
+// hybrids follow.
+inline constexpr size_t kCanonicalSpecCount = 8;
+
+// Every registered scheduler. Static storage: reading it never allocates.
+std::span<const RegisteredSpec> RegisteredSpecs();
+
+// Builds the registered spec with this name. Returns false for unknown
+// names.
 bool NamedPolicySpec(const std::string& name, PolicySpec* out);
 
 // Structural validity: inter-axis constraints a ComposedScheduler (or a

@@ -30,15 +30,10 @@ OracleOptions ReducedOptions(const std::string& oracle,
 
 // Applies runner-level overrides to a generated scenario.
 void ApplyOverrides(const StressOptions& options, Scenario* scenario) {
-  if (options.pin_spec) {
-    scenario->stack.use_spec = true;
-    scenario->stack.spec = options.pinned_spec;
-  } else if (options.pin_sched) {
-    scenario->stack.sched = options.pinned_sched;
-    // A kind pin overrides a generated random spec, not just the kind the
+  if (!options.pin_sched.empty()) {
+    // A kind pin also drops a generated random spec, not just the kind the
     // spec would otherwise shadow.
-    scenario->stack.use_spec = false;
-    scenario->stack.spec = PolicySpec();
+    SetStackSched(options.pin_sched, &scenario->stack);
   }
   if (options.force_control != NegativeControl::kNone) {
     scenario->stack.control = options.force_control;
@@ -320,13 +315,11 @@ bool ReproFromJson(const std::string& json, StressFailure* out,
         return fail();
       }
       jsonmini::ParseError serr;
-      ok = ScenarioFromJson(std::string(start, c.p), &out->scenario, &serr);
-      if (!ok) {
-        // Re-anchor the sub-parse's offset onto the enclosing document.
-        c.failed = true;
-        c.err_offset = static_cast<size_t>(start - c.begin) + serr.offset;
-        c.err_message = "bad scenario";
-      }
+      // On failure, keep the sub-parser's reason and re-anchor its offset
+      // onto the enclosing document.
+      ok = ScenarioFromJson(std::string(start, c.p), &out->scenario, &serr) ||
+           c.FailAt(static_cast<size_t>(start - c.begin) + serr.offset,
+                    serr.message);
     } else {
       ok = SkipValue(c);
     }

@@ -184,6 +184,19 @@ Scenario GenerateScenario(uint64_t seed, const GenOptions& options) {
   return s;
 }
 
+bool SetStackSched(const std::string& name, StressStackConfig* stack) {
+  if (SchedKindFromName(name.c_str(), &stack->sched)) {
+    stack->use_spec = false;
+    stack->spec = PolicySpec();
+    return true;
+  }
+  if (!NamedPolicySpec(name, &stack->spec)) {
+    return false;
+  }
+  stack->use_spec = true;
+  return true;
+}
+
 std::string ScenarioToJson(const Scenario& scenario) {
   const StressStackConfig& st = scenario.stack;
   std::string out = "{\"seed\":" + std::to_string(scenario.seed);
@@ -244,8 +257,10 @@ bool ParseStackObject(Cursor& c, StressStackConfig* out) {
       ok = ParseString(c, &name);
       if (ok && !SchedKindFromName(name.c_str(), &out->sched)) {
         // Same error contract as the trace parsers: name the offending
-        // token and where it sits — never fall back silently.
-        ok = c.FailAt(token_offset, UnknownSchedMessage(name));
+        // token and where it sits — never fall back silently. The key
+        // stores canonical kinds only (hybrids live under "spec").
+        ok = c.FailAt(token_offset,
+                      UnknownSchedMessage(name, CanonicalSpecs()));
       }
     } else if (key == "spec") {
       ok = ParsePolicySpec(c, &out->spec);

@@ -94,6 +94,13 @@ struct GenOptions {
 // Deterministic: the same (seed, options) always yields the same scenario.
 Scenario GenerateScenario(uint64_t seed, const GenOptions& options = {});
 
+// Points `stack` at the registered scheduler `name` (RegisteredSpecs): a
+// canonical kind becomes `sched` and drops any spec; a hybrid becomes the
+// spec (`sched` is kept as the reference kind). Returns false for an
+// unknown name. `stress_runner --sched` and `trace2repro --sched` both
+// resolve their argument here.
+bool SetStackSched(const std::string& name, StressStackConfig* stack);
+
 const char* FsKindName(StackConfig::FsKind fs);
 const char* DeviceKindName(StackConfig::DeviceKind device);
 

@@ -40,7 +40,7 @@ namespace splitio {
 class HierTokenAccounts {
  public:
   // Creates (or reconfigures) a leaf account. `burst_seconds` of rate is
-  // the bucket capacity, matching SplitTokenScheduler::SetAccountLimit.
+  // the bucket capacity, matching ComposedScheduler::SetAccountLimit.
   void SetLeafLimit(int leaf, double bytes_per_sec, double burst_seconds);
 
   // Creates (or reconfigures) a group budget bucket.

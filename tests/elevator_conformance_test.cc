@@ -21,57 +21,35 @@
 
 #include <algorithm>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <tuple>
 
-#include "src/block/block_deadline.h"
-#include "src/block/cfq.h"
-#include "src/block/noop.h"
 #include "src/core/sched_factory.h"
 #include "src/core/storage_stack.h"
-#include "src/sched/afq.h"
-#include "src/sched/scs_token.h"
-#include "src/sched/split_deadline.h"
-#include "src/sched/split_noop.h"
-#include "src/sched/split_token.h"
 #include "src/sim/simulator.h"
 #include "src/workload/workloads.h"
 
 namespace splitio {
+
+// gtest prints each parameter into the test list: print the scheduler's
+// name rather than the entry's bytes (pointers differ from run to run).
+void PrintTo(const RegisteredSpec& sched, std::ostream* os) {
+  *os << sched.name;
+}
+
 namespace {
 
-enum class Sched {
-  kNoop,
-  kCfq,
-  kBlockDeadline,
-  kSplitNoop,
-  kAfq,
-  kSplitDeadline,
-  kSplitToken,
-  kScsToken,
-  // Hybrid policy specs (no hand-written class — composed only).
-  kDeadlineToken,
-  kTenantAfq
-};
-
-const char* SchedLabel(Sched s) {
-  switch (s) {
-    case Sched::kNoop: return "noop";
-    case Sched::kCfq: return "cfq";
-    case Sched::kBlockDeadline: return "blockdeadline";
-    case Sched::kSplitNoop: return "splitnoop";
-    case Sched::kAfq: return "afq";
-    case Sched::kSplitDeadline: return "splitdeadline";
-    case Sched::kSplitToken: return "splittoken";
-    case Sched::kScsToken: return "scstoken";
-    case Sched::kDeadlineToken: return "deadlinetoken";
-    case Sched::kTenantAfq: return "tenantafq";
-  }
-  return "?";
+// Test-name label for a registered scheduler: gtest names allow only
+// [A-Za-z0-9_], so "block-noop" becomes "block_noop".
+std::string SchedLabel(const RegisteredSpec& sched) {
+  std::string label = sched.name;
+  std::replace(label.begin(), label.end(), '-', '_');
+  return label;
 }
 
 struct ConformanceStack {
-  ConformanceStack(Sched sched, const BlockMqConfig& mq) {
+  ConformanceStack(const RegisteredSpec& sched, const BlockMqConfig& mq) {
     StackConfig config;
     config.device = StackConfig::DeviceKind::kSsd;
     config.ssd.channels = 4;
@@ -80,45 +58,10 @@ struct ConformanceStack {
     config.volatile_write_cache = true;
     config.layout.durability_barriers = true;
     cpu = std::make_unique<CpuModel>(8);
-    std::unique_ptr<SplitScheduler> split;
-    std::unique_ptr<Elevator> legacy;
-    switch (sched) {
-      case Sched::kNoop:
-        legacy = std::make_unique<NoopElevator>();
-        break;
-      case Sched::kCfq:
-        legacy = std::make_unique<CfqElevator>();
-        break;
-      case Sched::kBlockDeadline:
-        legacy = std::make_unique<BlockDeadlineElevator>();
-        break;
-      case Sched::kSplitNoop:
-        split = std::make_unique<SplitNoopScheduler>();
-        break;
-      case Sched::kAfq:
-        split = std::make_unique<AfqScheduler>();
-        break;
-      case Sched::kSplitDeadline:
-        split = std::make_unique<SplitDeadlineScheduler>();
-        break;
-      case Sched::kSplitToken:
-        split = std::make_unique<SplitTokenScheduler>();
-        break;
-      case Sched::kScsToken:
-        split = std::make_unique<ScsTokenScheduler>();
-        break;
-      case Sched::kDeadlineToken:
-      case Sched::kTenantAfq: {
-        PolicySpec spec;
-        EXPECT_TRUE(NamedPolicySpec(
-            sched == Sched::kDeadlineToken ? "deadline-token" : "tenant-afq",
-            &spec));
-        split = MakeSched(spec).split;
-        break;
-      }
-    }
-    stack = std::make_unique<StorageStack>(config, cpu.get(), std::move(split),
-                                           std::move(legacy));
+    SchedInstance inst = MakeSched(sched.build());
+    stack = std::make_unique<StorageStack>(config, cpu.get(),
+                                           std::move(inst.split),
+                                           std::move(inst.legacy));
     stack->Start();
   }
   std::unique_ptr<CpuModel> cpu;
@@ -225,7 +168,7 @@ RunOutcome RunMixedWorkload(ConformanceStack& h, bool check_invariants) {
 }
 
 class ElevatorConformance
-    : public ::testing::TestWithParam<std::tuple<Sched, bool>> {};
+    : public ::testing::TestWithParam<std::tuple<RegisteredSpec, bool>> {};
 
 TEST_P(ElevatorConformance, SharedInvariantsHold) {
   auto [sched, use_mq] = GetParam();
@@ -248,25 +191,22 @@ TEST_P(ElevatorConformance, SharedInvariantsHold) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllSchedulers, ElevatorConformance,
-    ::testing::Combine(
-        ::testing::Values(Sched::kNoop, Sched::kCfq, Sched::kBlockDeadline,
-                          Sched::kSplitNoop, Sched::kAfq,
-                          Sched::kSplitDeadline, Sched::kSplitToken,
-                          Sched::kScsToken, Sched::kDeadlineToken,
-                          Sched::kTenantAfq),
-        ::testing::Bool()),
-    [](const ::testing::TestParamInfo<std::tuple<Sched, bool>>& param_info) {
-      return std::string(SchedLabel(std::get<0>(param_info.param))) +
+    ::testing::Combine(::testing::ValuesIn(RegisteredSpecs()),
+                       ::testing::Bool()),
+    [](const ::testing::TestParamInfo<std::tuple<RegisteredSpec, bool>>&
+           param_info) {
+      return SchedLabel(std::get<0>(param_info.param)) +
              (std::get<1>(param_info.param) ? "_mq" : "_legacy");
     });
 
 // With nr_hw_queues=1 and queue_depth=1 the mq machinery must be an exact
 // behavioral match for the legacy serial dispatch loop: same requests, same
 // bytes, same device busy time, same flush count.
-class MqDepthOneEquivalence : public ::testing::TestWithParam<Sched> {};
+class MqDepthOneEquivalence
+    : public ::testing::TestWithParam<RegisteredSpec> {};
 
 TEST_P(MqDepthOneEquivalence, MatchesLegacyExactly) {
-  Sched sched = GetParam();
+  const RegisteredSpec& sched = GetParam();
   RunOutcome legacy;
   {
     Simulator sim;
@@ -294,11 +234,8 @@ TEST_P(MqDepthOneEquivalence, MatchesLegacyExactly) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllSchedulers, MqDepthOneEquivalence,
-    ::testing::Values(Sched::kNoop, Sched::kCfq, Sched::kBlockDeadline,
-                      Sched::kSplitNoop, Sched::kAfq, Sched::kSplitDeadline,
-                      Sched::kSplitToken, Sched::kScsToken,
-                      Sched::kDeadlineToken, Sched::kTenantAfq),
-    [](const ::testing::TestParamInfo<Sched>& param_info) {
+    ::testing::ValuesIn(RegisteredSpecs()),
+    [](const ::testing::TestParamInfo<RegisteredSpec>& param_info) {
       return SchedLabel(param_info.param);
     });
 

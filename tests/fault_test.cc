@@ -9,7 +9,7 @@
 #include "src/block/noop.h"
 #include "src/core/storage_stack.h"
 #include "src/fault/fault_injector.h"
-#include "src/sched/split_deadline.h"
+#include "src/sched/composed.h"
 #include "src/sim/cpu.h"
 #include "src/sim/simulator.h"
 
@@ -127,7 +127,7 @@ void RunEioScenario(std::unique_ptr<SplitScheduler> sched,
 }
 
 TEST(FaultPropagation, DeviceEioSurfacesAndHealsSplitStack) {
-  RunEioScenario(std::make_unique<SplitDeadlineScheduler>(SplitDeadlineConfig()),
+  RunEioScenario(std::make_unique<ComposedScheduler>(SplitDeadlineSpec()),
                  nullptr, /*block_layer_hook=*/false);
 }
 
@@ -137,7 +137,7 @@ TEST(FaultPropagation, DeviceEioSurfacesAndHealsLegacyStack) {
 }
 
 TEST(FaultPropagation, BlockLayerHookSurfacesAndHeals) {
-  RunEioScenario(std::make_unique<SplitDeadlineScheduler>(SplitDeadlineConfig()),
+  RunEioScenario(std::make_unique<ComposedScheduler>(SplitDeadlineSpec()),
                  nullptr, /*block_layer_hook=*/true);
 }
 

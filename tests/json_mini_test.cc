@@ -94,6 +94,24 @@ TEST(JsonMini, ProgramRoundTripWithEscapedContent) {
   EXPECT_EQ(parsed.detail, failure.detail);
 }
 
+// A repro whose scenario does not parse reports the scenario parser's own
+// reason, at the offending token's offset in the whole repro document.
+TEST(JsonMini, ReproKeepsScenarioParseError) {
+  StressFailure failure;
+  failure.oracle = "completion";
+  failure.scenario.stack.sched = SchedKind::kCfq;
+  std::string json = ReproToJson(failure);
+  size_t token = json.find("\"cfq\"");
+  ASSERT_NE(token, std::string::npos);
+  json.replace(token, 5, "\"frob\"");
+  StressFailure parsed;
+  jsonmini::ParseError err;
+  EXPECT_FALSE(ReproFromJson(json, &parsed, &err));
+  EXPECT_NE(err.message.find("unknown scheduler \"frob\""), std::string::npos)
+      << err.Describe();
+  EXPECT_EQ(err.offset, token) << err.Describe();
+}
+
 TEST(ResolveRepro, ExistingPathCanonicalized) {
   namespace fs = std::filesystem;
   fs::path dir = fs::temp_directory_path() / "splitio_resolve_test";

@@ -148,23 +148,6 @@ TEST(Counters, DeltaSubtractsEveryField) {
   EXPECT_EQ(zero.allocs, 0u);
 }
 
-TEST(ThroughputMeter, ComputesMBps) {
-  ThroughputMeter meter;
-  meter.Start(0);
-  meter.AddBytes(10 * 1024 * 1024);
-  EXPECT_DOUBLE_EQ(meter.MBps(Sec(2)), 5.0);
-  meter.Reset(Sec(2));
-  EXPECT_EQ(meter.bytes(), 0u);
-  EXPECT_DOUBLE_EQ(meter.MBps(Sec(3)), 0.0);
-}
-
-TEST(ThroughputMeter, ZeroElapsedIsZero) {
-  ThroughputMeter meter;
-  meter.Start(Sec(1));
-  meter.AddBytes(1024);
-  EXPECT_DOUBLE_EQ(meter.MBps(Sec(1)), 0.0);
-}
-
 TEST(Summary, Statistics) {
   Summary s = Summarize({2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0});
   EXPECT_DOUBLE_EQ(s.mean, 5.0);
@@ -177,15 +160,6 @@ TEST(Summary, EmptyIsZero) {
   Summary s = Summarize({});
   EXPECT_DOUBLE_EQ(s.mean, 0);
   EXPECT_DOUBLE_EQ(s.stdev, 0);
-}
-
-TEST(TimeSeries, StoresPoints) {
-  TimeSeries ts;
-  ts.Add(Sec(1), 10.0);
-  ts.Add(Sec(2), 20.0);
-  ASSERT_EQ(ts.points().size(), 2u);
-  EXPECT_EQ(ts.points()[0].first, Sec(1));
-  EXPECT_DOUBLE_EQ(ts.points()[1].second, 20.0);
 }
 
 // ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@
 // and the stress scenario's composed-spec axis.
 #include <gtest/gtest.h>
 
+#include <span>
 #include <string>
-#include <vector>
 
 #include "src/core/sched_factory.h"
 #include "src/sched/policy.h"
@@ -15,20 +15,21 @@ namespace splitio {
 namespace {
 
 TEST(PolicySpecRegistry, CanonicalKindsThenHybrids) {
-  const std::vector<std::string>& names = AllPolicySpecNames();
-  ASSERT_EQ(names.size(), 10u);
+  std::span<const RegisteredSpec> registry = RegisteredSpecs();
+  ASSERT_EQ(registry.size(), 10u);
   // Canonical kinds first, in SchedKind order; the hybrids close the list.
   for (size_t i = 0; i < std::size(kAllSchedKinds); ++i) {
-    EXPECT_EQ(names[i], SchedName(kAllSchedKinds[i]));
+    EXPECT_STREQ(registry[i].name, SchedName(kAllSchedKinds[i]));
   }
-  EXPECT_EQ(names[8], "deadline-token");
-  EXPECT_EQ(names[9], "tenant-afq");
+  EXPECT_STREQ(registry[8].name, "deadline-token");
+  EXPECT_STREQ(registry[9].name, "tenant-afq");
 
   PolicySpec spec;
-  for (const std::string& name : names) {
-    ASSERT_TRUE(NamedPolicySpec(name, &spec)) << name;
-    EXPECT_EQ(spec.name, name);
-    EXPECT_EQ(ValidateSpec(spec), "") << name;
+  for (const RegisteredSpec& entry : registry) {
+    ASSERT_TRUE(NamedPolicySpec(entry.name, &spec)) << entry.name;
+    EXPECT_EQ(spec, entry.build()) << entry.name;
+    EXPECT_EQ(spec.name, entry.name);
+    EXPECT_EQ(ValidateSpec(spec), "") << entry.name;
   }
   EXPECT_FALSE(NamedPolicySpec("no-such-policy", &spec));
 }
@@ -39,15 +40,30 @@ TEST(PolicySpecRegistry, SpecForKindMatchesRegistry) {
     PolicySpec by_name;
     ASSERT_TRUE(NamedPolicySpec(SchedName(kind), &by_name));
     EXPECT_EQ(by_kind, by_name) << SchedName(kind);
+    SchedKind parsed;
+    ASSERT_TRUE(SchedKindFromName(SchedName(kind), &parsed));
+    EXPECT_EQ(parsed, kind);
   }
+  SchedKind parsed;
+  EXPECT_FALSE(SchedKindFromName("deadline-token", &parsed));
 }
 
 TEST(PolicySpecRegistry, UnknownSchedMessageListsEveryName) {
   std::string msg = UnknownSchedMessage("bogus");
   EXPECT_NE(msg.find("unknown scheduler \"bogus\""), std::string::npos) << msg;
-  for (const std::string& name : AllPolicySpecNames()) {
-    EXPECT_NE(msg.find(name), std::string::npos) << msg;
+  for (const RegisteredSpec& entry : RegisteredSpecs()) {
+    EXPECT_NE(msg.find(entry.name), std::string::npos) << msg;
   }
+}
+
+// Callers that store a SchedKind list only the canonical names.
+TEST(PolicySpecRegistry, UnknownSchedMessageCanListOnlyKinds) {
+  std::string msg = UnknownSchedMessage("bogus", CanonicalSpecs());
+  for (SchedKind kind : kAllSchedKinds) {
+    EXPECT_NE(msg.find(SchedName(kind)), std::string::npos) << msg;
+  }
+  EXPECT_EQ(msg.find("deadline-token"), std::string::npos) << msg;
+  EXPECT_EQ(msg.find("tenant-afq"), std::string::npos) << msg;
 }
 
 TEST(PolicySpecValidate, RejectsInterAxisContradictions) {
@@ -86,16 +102,15 @@ TEST(PolicySpecValidate, RejectsInterAxisContradictions) {
 }
 
 TEST(PolicySpecJson, RegisteredSpecsRoundTripByteIdentical) {
-  for (const std::string& name : AllPolicySpecNames()) {
-    PolicySpec spec;
-    ASSERT_TRUE(NamedPolicySpec(name, &spec));
+  for (const RegisteredSpec& entry : RegisteredSpecs()) {
+    PolicySpec spec = entry.build();
     std::string json = PolicySpecToJson(spec);
     PolicySpec parsed;
     jsonmini::ParseError err;
     ASSERT_TRUE(PolicySpecFromJson(json, &parsed, &err))
-        << name << ": " << err.Describe();
-    EXPECT_EQ(parsed, spec) << name;
-    EXPECT_EQ(PolicySpecToJson(parsed), json) << name;
+        << entry.name << ": " << err.Describe();
+    EXPECT_EQ(parsed, spec) << entry.name;
+    EXPECT_EQ(PolicySpecToJson(parsed), json) << entry.name;
   }
 }
 
@@ -170,19 +185,33 @@ TEST(ScenarioSpec, SpecAxisRoundTripsThroughScenarioJson) {
 
 TEST(ScenarioSpec, UnknownSchedNameReportsTokenAndOffset) {
   Scenario scenario = GenerateScenario(1);
-  std::string json = ScenarioToJson(scenario);
+  const std::string json = ScenarioToJson(scenario);
   std::string quoted = std::string("\"") + SchedName(scenario.stack.sched) + "\"";
   size_t pos = json.find("\"sched\":" + quoted);
   ASSERT_NE(pos, std::string::npos);
   size_t token = pos + 8;  // the value token after the key and colon
-  json.replace(token, quoted.size(), "\"frob\"");
+  auto reject = [&](const std::string& name) {
+    std::string bad = json;
+    bad.replace(token, quoted.size(), "\"" + name + "\"");
+    Scenario parsed;
+    jsonmini::ParseError err;
+    EXPECT_FALSE(ScenarioFromJson(bad, &parsed, &err)) << name;
+    EXPECT_NE(err.message.find("unknown scheduler \"" + name + "\""),
+              std::string::npos)
+        << err.Describe();
+    EXPECT_EQ(err.offset, token) << err.Describe();
+    return err.message;
+  };
+  reject("frob");
 
-  Scenario parsed;
-  jsonmini::ParseError err;
-  EXPECT_FALSE(ScenarioFromJson(json, &parsed, &err));
-  EXPECT_NE(err.message.find("unknown scheduler \"frob\""), std::string::npos)
-      << err.Describe();
-  EXPECT_EQ(err.offset, token) << err.Describe();
+  // A hybrid is a registered scheduler, but this key stores canonical kinds
+  // only (hybrids live under "spec"), so the message must not offer it.
+  std::string msg = reject("tenant-afq");
+  size_t expected = msg.find("expected one of");
+  ASSERT_NE(expected, std::string::npos) << msg;
+  EXPECT_EQ(msg.find("tenant-afq", expected), std::string::npos) << msg;
+  EXPECT_EQ(msg.find("deadline-token", expected), std::string::npos) << msg;
+  EXPECT_NE(msg.find("split-token", expected), std::string::npos) << msg;
 }
 
 }  // namespace

@@ -10,9 +10,7 @@
 #include "src/block/cfq.h"
 #include "src/block/noop.h"
 #include "src/core/storage_stack.h"
-#include "src/sched/afq.h"
-#include "src/sched/split_deadline.h"
-#include "src/sched/split_token.h"
+#include "src/sched/composed.h"
 #include "src/sim/simulator.h"
 #include "src/workload/workloads.h"
 
@@ -86,7 +84,7 @@ TEST(SplitDeadlineDetail, ExpiredReadJumpsWrites) {
   Simulator sim;
   SplitDeadlineConfig config;
   config.default_read_deadline = Msec(10);
-  SplitDeadlineScheduler sched(config);
+  ComposedScheduler sched(SplitDeadlineSpec(config));
   Process reader(1, "r");
   Process writer(2, "w");
   // A pile of background writes and one stale read.
@@ -113,7 +111,7 @@ TEST(SplitDeadlineDetail, ExpiredReadJumpsWrites) {
 // scheduler may keep no request alive.
 TEST(SplitDeadlineDetail, DrainedReadsAreReleased) {
   Simulator sim;
-  SplitDeadlineScheduler sched;
+  ComposedScheduler sched(SplitDeadlineSpec());
   Process reader(1, "r");
   Process writer(2, "w");
   std::vector<std::weak_ptr<BlockRequest>> held;
@@ -138,7 +136,7 @@ TEST(SplitDeadlineDetail, DrainedReadsAreReleased) {
 // Fsync-critical (sync/journal) writes precede background writes.
 TEST(SplitDeadlineDetail, UrgentWritesPrecedeBackground) {
   Simulator sim;
-  SplitDeadlineScheduler sched;
+  ComposedScheduler sched(SplitDeadlineSpec());
   Process wb(9001, "writeback");
   Process app(1, "app");
   for (int i = 0; i < 4; ++i) {
@@ -167,7 +165,7 @@ TEST(SplitDeadlineDetail, FsyncCostTracksFragmentation) {
   StackConfig config;
   config.cache.writeback_daemon = false;
   CpuModel cpu(8);
-  auto sched_owner = std::make_unique<SplitDeadlineScheduler>();
+  auto sched_owner = std::make_unique<ComposedScheduler>(SplitDeadlineSpec());
   StorageStack stack(config, &cpu, std::move(sched_owner), nullptr);
   stack.Start();
   Process* p = stack.NewProcess("app");
@@ -227,7 +225,8 @@ TEST(AfqDetail, EqualPrioritiesShareReads) {
   Simulator sim;
   StackConfig config;
   CpuModel cpu(8);
-  StorageStack stack(config, &cpu, std::make_unique<AfqScheduler>(), nullptr);
+  StorageStack stack(config, &cpu,
+                     std::make_unique<ComposedScheduler>(AfqSpec()), nullptr);
   stack.Start();
   Process* p1 = stack.NewProcess("r1");
   Process* p2 = stack.NewProcess("r2");
@@ -256,7 +255,7 @@ TEST(SplitTokenDetail, AccountsAreIndependent) {
   Simulator sim;
   StackConfig config;
   CpuModel cpu(8);
-  auto sched = std::make_unique<SplitTokenScheduler>();
+  auto sched = std::make_unique<ComposedScheduler>(SplitTokenSpec());
   sched->SetAccountLimit(1, 2.0 * 1024 * 1024);
   sched->SetAccountLimit(2, 32.0 * 1024 * 1024);
   StorageStack stack(config, &cpu, std::move(sched), nullptr);

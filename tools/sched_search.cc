@@ -1,7 +1,7 @@
 // sched_search — autotuner over the declarative scheduler policy space.
 //
-// Candidates are the ten registered PolicySpecs (eight canonical kinds plus
-// the deadline-token / tenant-afq hybrids) and --random N pseudo-random but
+// Candidates are the registered PolicySpecs (the canonical kinds plus the
+// deadline-token / tenant-afq hybrids) and --random N pseudo-random but
 // structurally valid compositions (RandomPolicySpec over fixed seeds, so a
 // given command line is fully deterministic). Each candidate runs three
 // deterministic workloads shaped like the paper's experiments:
@@ -68,7 +68,7 @@ struct Metrics {
 
 struct Candidate {
   PolicySpec spec;
-  bool canonical = false;  // one of the eight hand-written kinds
+  bool canonical = false;  // one of the canonical kinds
 };
 
 struct Evaluated {
@@ -316,17 +316,10 @@ int main(int argc, char** argv) {
   // Random seeds are fixed (1000 + i) so the pool depends only on the
   // command line, never on prior draws or wall clock.
   std::vector<Candidate> pool;
-  size_t canonical_count = 0;
-  for (const std::string& name : AllPolicySpecNames()) {
+  for (const RegisteredSpec& entry : RegisteredSpecs()) {
     Candidate cand;
-    if (!NamedPolicySpec(name, &cand.spec)) {
-      std::fprintf(stderr, "sched_search: %s\n",
-                   UnknownSchedMessage(name).c_str());
-      return 2;
-    }
-    SchedKind kind;
-    cand.canonical = SchedKindFromName(name.c_str(), &kind);
-    canonical_count += cand.canonical ? 1 : 0;
+    cand.spec = entry.build();
+    cand.canonical = pool.size() < kCanonicalSpecCount;
     pool.push_back(std::move(cand));
   }
   int random_skipped = 0;
@@ -523,6 +516,5 @@ int main(int argc, char** argv) {
   } else {
     std::printf("%s\n", json.c_str());
   }
-  (void)canonical_count;
   return pass ? 0 : 1;
 }

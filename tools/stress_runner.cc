@@ -31,7 +31,6 @@
 
 #include "src/core/sched_factory.h"
 #include "src/obs/metrics_global.h"
-#include "src/sched/policy.h"
 #include "src/stress/runner.h"
 
 namespace {
@@ -126,21 +125,19 @@ int main(int argc, char** argv) {
         return Usage();
       }
     } else if (arg == "--sched") {
-      // Canonical kind ("split-deadline") or any registered PolicySpec name
-      // ("deadline-token"); both pin every generated scenario's scheduler.
+      // Any registered scheduler: a canonical kind ("split-deadline") or a
+      // hybrid spec ("deadline-token"); pins every generated scenario.
       const char* val = next();
       if (val == nullptr) {
         return Usage();
       }
-      if (splitio::SchedKindFromName(val, &options.pinned_sched)) {
-        options.pin_sched = true;
-      } else if (splitio::NamedPolicySpec(val, &options.pinned_spec)) {
-        options.pin_spec = true;
-      } else {
+      splitio::StressStackConfig check;
+      if (!splitio::SetStackSched(val, &check)) {
         std::fprintf(stderr, "stress_runner: %s\n",
                      splitio::UnknownSchedMessage(val).c_str());
         return 2;
       }
+      options.pin_sched = val;
     } else if (arg == "--max-ops") {
       const char* val = next();
       if (val == nullptr || !ParseLong(val, &v) || v < 1) {

@@ -18,6 +18,7 @@
 #include <iostream>
 #include <string>
 
+#include "src/core/sched_factory.h"
 #include "src/stress/runner.h"
 #include "src/stress/trace_repro.h"
 #include "src/workload/trace/parse.h"
@@ -42,8 +43,9 @@ int main(int argc, char** argv) {
       options.seed = std::strtoull(next("--seed"), nullptr, 0);
     } else if (arg == "--sched") {
       const char* name = next("--sched");
-      if (!SchedKindFromName(name, &options.stack.sched)) {
-        std::fprintf(stderr, "unknown scheduler %s\n", name);
+      if (!SetStackSched(name, &options.stack)) {
+        std::fprintf(stderr, "trace2repro: %s\n",
+                     UnknownSchedMessage(name).c_str());
         return 2;
       }
     } else if (arg == "--control") {
