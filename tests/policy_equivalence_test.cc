@@ -1,9 +1,11 @@
-// Policy-space equivalence (the refactor's load-bearing claim): for every
-// canonical SchedKind, a ComposedScheduler interpreting the kind's
-// PolicySpec — after a full JSON round-trip, so serialization is in the
-// proof — produces a byte-identical execution to MakeSched(kind): same
-// per-op results and latencies, same file contents, same block/device
-// schedule fingerprint.
+// Kind vs pinned-spec equivalence: for every canonical SchedKind, a scenario
+// that pins the kind's PolicySpec — read back from its JSON, the way a
+// repro's "spec" key stores it — replays byte-identically to the scenario
+// that names the kind: same per-op results and latencies, same file
+// contents, same block/device schedule fingerprint. Both paths build through
+// MakeSched(const PolicySpec&), so this checks what can still differ: that
+// serialization keeps every field that steers a schedule, and that the
+// executor's spec path agrees with its kind path.
 //
 // Coverage: two handcrafted workloads shaped like the paper figures
 // (fig05 fsync entanglement, fig09 mixed read/write) plus 50 generated
@@ -11,6 +13,8 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <tuple>
+#include <vector>
 
 #include "src/core/sched_factory.h"
 #include "src/sched/policy.h"
@@ -20,54 +24,52 @@
 namespace splitio {
 namespace {
 
-// Full-result equality — every field ExecuteScenario computes, not just the
-// content subset the stress content-differential oracle compares.
-void ExpectIdentical(const ExecResult& a, const ExecResult& b,
-                     const std::string& label) {
-  EXPECT_EQ(a.all_ops_completed, b.all_ops_completed) << label;
-  EXPECT_EQ(a.ops_done_at, b.ops_done_at) << label;
-  EXPECT_EQ(a.op_results, b.op_results) << label;
-  EXPECT_EQ(a.op_latency, b.op_latency) << label;
-  EXPECT_EQ(a.file_sizes, b.file_sizes) << label;
-  EXPECT_EQ(a.submitted, b.submitted) << label;
-  EXPECT_EQ(a.completed, b.completed) << label;
-  EXPECT_EQ(a.merged, b.merged) << label;
-  EXPECT_EQ(a.device_bytes_read, b.device_bytes_read) << label;
-  EXPECT_EQ(a.device_bytes_written, b.device_bytes_written) << label;
-  EXPECT_EQ(a.device_busy, b.device_busy) << label;
-  EXPECT_EQ(a.device_flushes, b.device_flushes) << label;
-  EXPECT_EQ(a.inflight_at_end, b.inflight_at_end) << label;
-  EXPECT_EQ(a.elevator_empty, b.elevator_empty) << label;
-  EXPECT_EQ(a.pages_dirtied, b.pages_dirtied) << label;
-  EXPECT_EQ(a.wb_pages_flushed, b.wb_pages_flushed) << label;
-  EXPECT_EQ(a.faults_injected, b.faults_injected) << label;
-  EXPECT_EQ(a.crash_points, b.crash_points) << label;
+// Every field an untraced ExecuteScenario computes, not just the content
+// subset the stress content-differential oracle compares.
+auto Fingerprint(const ExecResult& r) {
+  return std::tie(r.all_ops_completed, r.ops_done_at, r.op_results,
+                  r.op_latency, r.file_sizes, r.submitted, r.completed,
+                  r.merged, r.device_bytes_read, r.device_bytes_written,
+                  r.device_busy, r.device_flushes, r.inflight_at_end,
+                  r.elevator_empty, r.queue_peak, r.pages_dirtied,
+                  r.wb_pages_flushed, r.faults_injected, r.crash_points);
 }
 
-// Runs `scenario` once through MakeSched(kind) and once through a
-// ComposedScheduler built from the kind's spec after ToJson -> FromJson,
-// and asserts byte-identical results.
+// Runs `scenario` once naming `kind` and once pinning SpecForKind(kind)
+// after ToJson -> FromJson, and expects identical fingerprints.
 void CheckKindEquivalence(Scenario scenario, SchedKind kind,
                           const std::string& label) {
   scenario.stack.sched = kind;
   scenario.stack.use_spec = false;
   scenario.stack.spec = PolicySpec();
 
-  Scenario composed = scenario;
-  composed.stack.use_spec = true;
-  std::string json = PolicySpecToJson(SpecForKind(kind));
+  Scenario pinned = scenario;
+  pinned.stack.use_spec = true;
   jsonmini::ParseError err;
-  ASSERT_TRUE(PolicySpecFromJson(json, &composed.stack.spec, &err))
+  ASSERT_TRUE(PolicySpecFromJson(PolicySpecToJson(SpecForKind(kind)),
+                                 &pinned.stack.spec, &err))
       << label << ": " << err.Describe();
-  ASSERT_EQ(composed.stack.spec, SpecForKind(kind)) << label;
+  ASSERT_EQ(pinned.stack.spec, SpecForKind(kind)) << label;
 
   ExecOptions opts;
   opts.trace = false;
   opts.crash_points = 2;
-  ExecResult direct = ExecuteScenario(scenario, opts);
-  ExecResult via_spec = ExecuteScenario(composed, opts);
-  ExpectIdentical(direct, via_spec,
-                  label + "/" + SchedName(kind));
+  ExecResult by_kind = ExecuteScenario(scenario, opts);
+  ExecResult by_spec = ExecuteScenario(pinned, opts);
+  EXPECT_EQ(Fingerprint(by_kind), Fingerprint(by_spec))
+      << label << "/" << SchedName(kind);
+}
+
+StressOp Op(StressOpKind kind, int proc, int file, uint64_t offset = 0,
+            uint64_t len = 0, Nanos delay = 0) {
+  StressOp op;
+  op.kind = kind;
+  op.proc = proc;
+  op.file = file;
+  op.offset = offset;
+  op.len = len;
+  op.delay = delay;
+  return op;
 }
 
 // Fig05-shaped program: a small transactional writer (4 KB append + fsync
@@ -79,29 +81,14 @@ Scenario Fig05Scenario() {
   s.program.num_procs = 2;
   s.program.num_files = 2;
   s.program.priorities = {1, 7};
-  for (int round = 0; round < 8; ++round) {
-    StressOp w;
-    w.kind = StressOpKind::kWrite;
-    w.proc = 0;
-    w.file = 0;
-    w.offset = static_cast<uint64_t>(round) * 4096;
-    w.len = 4096;
-    s.program.ops.push_back(w);
-    StressOp f;
-    f.kind = StressOpKind::kFsync;
-    f.proc = 0;
-    f.file = 0;
-    s.program.ops.push_back(f);
+  std::vector<StressOp>& ops = s.program.ops;
+  for (uint64_t round = 0; round < 8; ++round) {
+    ops.push_back(Op(StressOpKind::kWrite, 0, 0, round * 4096, 4096));
+    ops.push_back(Op(StressOpKind::kFsync, 0, 0));
   }
-  for (int i = 0; i < 6; ++i) {
-    StressOp b;
-    b.kind = StressOpKind::kWrite;
-    b.proc = 1;
-    b.file = 1;
-    b.offset = static_cast<uint64_t>(i) * (256 << 10);
-    b.len = 256 << 10;
-    b.delay = Msec(2);
-    s.program.ops.push_back(b);
+  for (uint64_t i = 0; i < 6; ++i) {
+    ops.push_back(
+        Op(StressOpKind::kWrite, 1, 1, i * (256 << 10), 256 << 10, Msec(2)));
   }
   return s;
 }
@@ -114,37 +101,15 @@ Scenario Fig09Scenario() {
   s.program.num_procs = 3;
   s.program.num_files = 3;
   s.program.priorities = {2, 4, 6};
-  for (int i = 0; i < 10; ++i) {
-    StressOp w;
-    w.kind = StressOpKind::kWrite;
-    w.proc = 0;
-    w.file = 0;
-    w.offset = static_cast<uint64_t>(i) * 65536;
-    w.len = 65536;
-    s.program.ops.push_back(w);
-    StressOp r;
-    r.kind = StressOpKind::kRead;
-    r.proc = 1;
-    r.file = 0;
-    r.offset = static_cast<uint64_t>((i * 7) % 16) * 4096;
-    r.len = 4096;
-    r.delay = Msec(1);
-    s.program.ops.push_back(r);
+  std::vector<StressOp>& ops = s.program.ops;
+  for (uint64_t i = 0; i < 10; ++i) {
+    ops.push_back(Op(StressOpKind::kWrite, 0, 0, i * 65536, 65536));
+    ops.push_back(
+        Op(StressOpKind::kRead, 1, 0, (i * 7) % 16 * 4096, 4096, Msec(1)));
   }
-  for (int i = 0; i < 4; ++i) {
-    StressOp w;
-    w.kind = StressOpKind::kWrite;
-    w.proc = 2;
-    w.file = 2;
-    w.offset = static_cast<uint64_t>(i) * 16384;
-    w.len = 16384;
-    s.program.ops.push_back(w);
-    StressOp f;
-    f.kind = StressOpKind::kFsync;
-    f.proc = 2;
-    f.file = 2;
-    f.delay = Msec(3);
-    s.program.ops.push_back(f);
+  for (uint64_t i = 0; i < 4; ++i) {
+    ops.push_back(Op(StressOpKind::kWrite, 2, 2, i * 16384, 16384));
+    ops.push_back(Op(StressOpKind::kFsync, 2, 2, 0, 0, Msec(3)));
   }
   return s;
 }
@@ -170,8 +135,8 @@ TEST_P(PolicyEquivalence, FiftyStressSeeds) {
 
 INSTANTIATE_TEST_SUITE_P(AllKinds, PolicyEquivalence,
                          ::testing::ValuesIn(kAllSchedKinds),
-                         [](const ::testing::TestParamInfo<SchedKind>& info) {
-                           std::string name = SchedName(info.param);
+                         [](const ::testing::TestParamInfo<SchedKind>& kind) {
+                           std::string name = SchedName(kind.param);
                            for (char& ch : name) {
                              if (ch == '-') {
                                ch = '_';
