@@ -259,28 +259,30 @@ Task<void> DeadlineEngine::OwnWritebackLoop() {
 // StrideEngine
 // ===========================================================================
 
-void StrideEngine::Register(Process& proc) {
-  auto [it, inserted] = procs_.try_emplace(proc.pid(), &proc);
-  if (key_ == QueueKey::kPid) {
-    if (inserted) {
-      stride_.SetWeight(proc.pid(), Weight(proc));
-    }
-    return;
+StrideEngine::Client& StrideEngine::Record(int32_t client) {
+  auto [it, inserted] = clients_.try_emplace(client);
+  if (inserted) {
+    stride_.Reserve(clients_.size());
   }
-  int32_t client = ClientOf(proc);
-  pid_client_[proc.pid()] = client;
-  if (weighted_.insert(client).second) {
+  return it->second;
+}
+
+StrideEngine::Client& StrideEngine::Register(Process& proc) {
+  int32_t id = ClientOf(proc);
+  if (key_ == QueueKey::kAccount) {
+    pid_client_[proc.pid()] = id;
+  }
+  Client& client = Record(id);
+  if (!client.weighted) {
+    client.weighted = true;
     stride_.SetWeight(client, Weight(proc));
   }
+  return client;
 }
 
 void StrideEngine::Attach(const StackContext& ctx) {
   ctx_ = ctx;
   Simulator::current().Spawn(Housekeep());
-}
-
-void StrideEngine::NoteActivity(int32_t client) {
-  last_activity_[client] = Simulator::current().Now();
 }
 
 Task<void> StrideEngine::Housekeep() {
@@ -289,22 +291,19 @@ Task<void> StrideEngine::Housekeep() {
   for (;;) {
     co_await Delay(Msec(10));
     Nanos now = Simulator::current().Now();
-    stride_.DeactivateIf([&](int32_t client) {
-      auto qit = read_queues_.find(client);
-      bool has_reads = qit != read_queues_.end() && !qit->second.empty();
-      bool is_blocked = blocked_.count(client) > 0;
-      auto ait = last_activity_.find(client);
-      bool stale = ait == last_activity_.end() || now - ait->second > Msec(50);
-      return !has_reads && !is_blocked && stale;
+    stride_.DeactivateIf([&](const StrideClient& s) {
+      const auto& client = static_cast<const Client&>(s);
+      bool has_reads = client.reads != nullptr && !client.reads->reqs.empty();
+      bool stale = now - client.last_activity > Msec(50);
+      return !has_reads && !client.in_admission && stale;
     });
     pass_advanced_.NotifyAll();
   }
 }
 
 Task<void> StrideEngine::AdmitWriteWork(Process& proc) {
-  Register(proc);
-  int32_t client = ClientOf(proc);
-  NoteActivity(client);
+  Client& client = Register(proc);
+  client.last_activity = Simulator::current().Now();
   // (Re)activate: do not let idle periods bank credit. This floor and the
   // one in Add are no-ops: the minimum is taken after activation, so it
   // includes the joining client and never exceeds its pass. Taking it over
@@ -313,20 +312,21 @@ Task<void> StrideEngine::AdmitWriteWork(Process& proc) {
   if (stride_.Activate(client)) {
     stride_.SetPassAtLeast(client, stride_.MinActivePass());
   }
-  blocked_.insert(client);
-  while (stride_.Pass(client) >
-         stride_.MinActivePass() + config_.pass_slack) {
-    co_await pass_advanced_.Wait();
-  }
-  blocked_.erase(client);
-  NoteActivity(client);
+  client.in_admission = true;
+  auto admissible = [&] {
+    return client.pass <= stride_.MinActivePass() + config_.pass_slack;
+  };
+  co_await pass_advanced_.WaitUntil(admissible);
+  client.in_admission = false;
+  client.last_activity = Simulator::current().Now();
   // No charge here: costs accrue when the work this call caused reaches the
   // device (ChargeCauses). Purely in-memory activity stays free.
 }
 
 void StrideEngine::Add(BlockRequestPtr req) {
+  Client* client = nullptr;
   if (req->submitter != nullptr) {
-    Register(*req->submitter);
+    client = &Register(*req->submitter);
   }
   if (req->is_write) {
     // Below the journal: dispatch immediately, never reorder against
@@ -334,13 +334,23 @@ void StrideEngine::Add(BlockRequestPtr req) {
     write_fifo_.push_back(std::move(req));
     return;
   }
-  int32_t client = req->submitter != nullptr ? ClientOf(*req->submitter) : -1;
-  if (stride_.Activate(client)) {
-    // A no-op floor; see AdmitWriteWork.
-    stride_.SetPassAtLeast(client, stride_.MinActivePass());
+  int32_t id = -1;  // the anonymous queue: no submitter
+  if (client != nullptr) {
+    id = ClientOf(*req->submitter);
+  } else {
+    client = &Record(id);
   }
-  NoteActivity(client);
-  read_queues_[client].push_back(std::move(req));
+  if (stride_.Activate(*client)) {
+    // A no-op floor; see AdmitWriteWork.
+    stride_.SetPassAtLeast(*client, stride_.MinActivePass());
+  }
+  client->last_activity = Simulator::current().Now();
+  if (client->reads == nullptr) {
+    ReadQueue& queue = read_queues_[id];
+    queue.client = client;
+    client->reads = &queue;
+  }
+  client->reads->reqs.push_back(std::move(req));
   ++queued_reads_;
 }
 
@@ -351,31 +361,25 @@ BlockRequestPtr StrideEngine::Next() {
     return req;
   }
   if (queued_reads_ == 0) {
-    // Nothing queued; maybe anticipate the last sync reader's next request.
-    if (last_read_client_ != -1 && anticipate_until_ != 0 &&
-        Simulator::current().Now() < anticipate_until_) {
-      return nullptr;
-    }
     return nullptr;
   }
   // Slice stickiness + anticipation: keep serving the last sync reader
   // while its pass is within `read_stickiness` of the minimum among
   // waiting readers. If its queue is momentarily empty, idle briefly
   // (anticipation) instead of seeking away — the same trade CFQ makes.
-  if (last_read_client_ != -1 && stride_.Known(last_read_client_)) {
+  if (last_read_ != nullptr) {
     double min_waiting = std::numeric_limits<double>::max();
-    for (const auto& [client, queue] : read_queues_) {
-      if (!queue.empty()) {
-        min_waiting = std::min(min_waiting, stride_.Pass(client));
+    for (const auto& [id, queue] : read_queues_) {
+      if (!queue.reqs.empty()) {
+        min_waiting = std::min(min_waiting, queue.client->pass);
       }
     }
-    bool sticky = stride_.Pass(last_read_client_) <=
-                  min_waiting + config_.read_stickiness;
+    bool sticky =
+        last_read_->client->pass <= min_waiting + config_.read_stickiness;
     if (sticky) {
-      auto it = read_queues_.find(last_read_client_);
-      if (it != read_queues_.end() && !it->second.empty()) {
-        BlockRequestPtr req = std::move(it->second.front());
-        it->second.pop_front();
+      if (!last_read_->reqs.empty()) {
+        BlockRequestPtr req = std::move(last_read_->reqs.front());
+        last_read_->reqs.pop_front();
         --queued_reads_;
         anticipate_until_ = 0;
         ChargeCauses(*req);
@@ -391,27 +395,29 @@ BlockRequestPtr StrideEngine::Next() {
     }
   }
   anticipate_until_ = 0;
-  // Pick the non-empty read queue with minimum pass.
+  // Pick the non-empty read queue with minimum pass. The anonymous client's
+  // id (-1) doubles as "none yet", so its queue never wins.
   int32_t best = -1;
+  ReadQueue* best_queue = nullptr;
   double best_pass = 0;
-  for (const auto& [client, queue] : read_queues_) {
-    if (queue.empty()) {
+  for (auto& [id, queue] : read_queues_) {
+    if (queue.reqs.empty()) {
       continue;
     }
-    double pass = stride_.Pass(client);
+    double pass = queue.client->pass;
     if (best == -1 || pass < best_pass) {
-      best = client;
+      best = id;
+      best_queue = &queue;
       best_pass = pass;
     }
   }
   if (best == -1) {
     return nullptr;
   }
-  auto& queue = read_queues_[best];
-  BlockRequestPtr req = std::move(queue.front());
-  queue.pop_front();
+  BlockRequestPtr req = std::move(best_queue->reqs.front());
+  best_queue->reqs.pop_front();
   --queued_reads_;
-  last_read_client_ = req->is_sync ? best : -1;
+  last_read_ = req->is_sync ? best_queue : nullptr;
   anticipate_until_ = 0;
   ChargeCauses(*req);
   return req;
@@ -423,11 +429,12 @@ void StrideEngine::ChargeRaw(const CauseSet& causes, double amount) {
     return;
   }
   double share = amount / static_cast<double>(pids.size());
+  Nanos now = Simulator::current().Now();
   for (int32_t pid : pids) {
-    int32_t client = ClientOfPid(pid);
+    Client& client = Record(ClientOfPid(pid));
     stride_.Charge(client, share);
     stride_.Activate(client);
-    NoteActivity(client);
+    client.last_activity = now;
   }
   pass_advanced_.NotifyAll();
 }

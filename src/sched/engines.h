@@ -155,13 +155,37 @@ class StrideEngine {
     return it == pid_client_.end() ? pid : it->second;
   }
 
-  void Register(Process& proc);
+  struct ReadQueue;
+
+  // One record per client: its stride fields (weight, pass, heap slot) and
+  // the liveness state the housekeeping sweep reads.
+  struct Client : StrideClient {
+    // Whether the stride weight has been set from a registered process
+    // (kAccount mode: many pids share one client).
+    bool weighted = false;
+    // A writer of this client sleeps in AdmitWriteWork; it stays active so
+    // the pass floor cannot fall below its reach. A flag, not a count: the
+    // first writer of the client to be admitted clears it for all of them.
+    bool in_admission = false;
+    // Stamped by every activation, so set whenever the client is active.
+    Nanos last_activity = 0;
+    ReadQueue* reads = nullptr;  // its read queue, once it has one
+  };
+
+  struct ReadQueue {
+    Client* client = nullptr;
+    std::deque<BlockRequestPtr> reqs;
+  };
+
+  // The client's record, created on first use.
+  Client& Record(int32_t client);
+  // Learns `proc` (its weight; its client in kAccount mode).
+  Client& Register(Process& proc);
   void ChargeCauses(const BlockRequest& req);
   // Charges (or refunds, when negative) `amount` split across `causes`.
   void ChargeRaw(const CauseSet& causes, double amount);
 
   Task<void> Housekeep();
-  void NoteActivity(int32_t client);
 
   AfqConfig config_;
   QueueKey key_;
@@ -169,25 +193,21 @@ class StrideEngine {
   // axis = stride-pass); completion revision subtracts prelim only then.
   bool owns_prelim_;
   StackContext ctx_;
-  // Passes, plus the active set (clients with queued or in-flight work)
-  // that the admission floor is the minimum over.
+  // Client records (node-based: the heap and the read queues point into
+  // it), and the active set (clients with queued or in-flight work) that
+  // the admission floor is the minimum over.
+  std::unordered_map<int32_t, Client> clients_;
   StrideState stride_;
-  std::map<int32_t, Process*> procs_;
   // pid -> client (kAccount mode only; kPid mode is the identity).
   std::unordered_map<int32_t, int32_t> pid_client_;
-  // Clients whose stride weight has been initialized (kAccount mode: many
-  // pids share one client, so per-pid registration can't drive this).
-  std::set<int32_t> weighted_;
-  // Clients currently sleeping in a write-path entry hook; they stay in
-  // the active set so the pass floor cannot fall below their reach.
-  std::set<int32_t> blocked_;
-  std::map<int32_t, Nanos> last_activity_;
-  Event pass_advanced_;
+  Condition pass_advanced_;
 
-  // Block level: per-client read queues + immediate write FIFO.
-  std::map<int32_t, std::deque<BlockRequestPtr>> read_queues_;
+  // Block level: per-client read queues in client-id order (AFQ's dispatch
+  // tie-break) + immediate write FIFO.
+  std::map<int32_t, ReadQueue> read_queues_;
   std::deque<BlockRequestPtr> write_fifo_;
-  int32_t last_read_client_ = -1;
+  // The last sync reader's queue (never the anonymous client's).
+  ReadQueue* last_read_ = nullptr;
   Nanos anticipate_until_ = 0;
   uint64_t queued_reads_ = 0;
 };

@@ -3,8 +3,8 @@
 #define SRC_SCHED_UTIL_H_
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "src/sim/sync.h"
@@ -14,56 +14,59 @@ namespace splitio {
 
 // Stride-scheduling passes (Waldspurger & Weihl). Each client advances its
 // pass by charge/weight; clients with the minimum pass are served first.
-// Joining clients start at the current global pass so idle periods do not
-// bank credit.
-//
-// The *active* clients (callers decide what active means) are indexed by a
-// binary min-heap on pass, so the minimum active pass is O(1). Invariant:
-// an entry is active iff its `slot` is its index in `heap_`, and every
-// pass change of an active entry re-sifts it before returning. The heap
-// holds pointers into `entries_` (unordered_map nodes never move), and its
-// capacity is kept at least the number of known clients, so once every
-// client has been seen no operation allocates.
+// Callers own the client records (StrideEngine keeps one per client, with
+// its own fields around these) at stable addresses.
+struct StrideClient {
+  static constexpr size_t kInactive = static_cast<size_t>(-1);
+
+  double weight = 1.0;
+  double pass = 0;
+  size_t slot = kInactive;  // index in StrideState's heap while active
+};
+
+// The *active* clients (callers decide what active means), indexed by a
+// binary min-heap on pass, so the minimum active pass is O(1). Invariant: a
+// client is active iff its `slot` is its index in `heap_`, and every pass
+// change of an active client re-sifts it before returning. Once the heap
+// has been reserved for every known client, no operation allocates.
 class StrideState {
  public:
   StrideState() = default;
-  StrideState(const StrideState&) = delete;  // heap_ points into entries_
+  StrideState(const StrideState&) = delete;  // records point into heap_
   StrideState& operator=(const StrideState&) = delete;
 
-  void SetWeight(int32_t client, double weight) {
-    Touch(client).weight = std::max(weight, 1e-9);
+  // Keeps the heap's capacity at least `clients` (call as clients appear).
+  void Reserve(size_t clients) {
+    if (heap_.capacity() < clients) {
+      heap_.reserve(2 * clients);
+    }
   }
 
-  // Charges `cost` to `client` (auto-registers with weight 1); a negative
-  // cost is a refund.
-  void Charge(int32_t client, double cost) {
-    Entry& e = Touch(client);
-    e.pass += cost / e.weight;
-    Resift(e);
+  void SetWeight(StrideClient& c, double weight) {
+    c.weight = std::max(weight, 1e-9);
   }
 
-  // The client's pass, normalized to start at the global floor.
-  double Pass(int32_t client) { return Touch(client).pass; }
-
-  bool Known(int32_t client) const { return entries_.count(client) > 0; }
+  // Charges `cost` to the client; a negative cost is a refund.
+  void Charge(StrideClient& c, double cost) {
+    c.pass += cost / c.weight;
+    Resift(c);
+  }
 
   // Raises the client's pass to at least `floor` — used when a client
   // re-activates after idling, so idle time does not bank credit.
-  void SetPassAtLeast(int32_t client, double floor) {
-    Entry& e = Touch(client);
-    if (floor > e.pass) {
-      e.pass = floor;
-      Resift(e);
+  void SetPassAtLeast(StrideClient& c, double floor) {
+    if (floor > c.pass) {
+      c.pass = floor;
+      Resift(c);
     }
   }
 
-  // Adds `client` to the active set in O(log n); false if already active.
-  bool Activate(int32_t client) {
-    Entry& e = Touch(client);
-    if (e.slot != kInactive) {
+  // Adds the client to the active set in O(log n); false if already active.
+  bool Activate(StrideClient& c) {
+    if (c.slot != StrideClient::kInactive) {
       return false;
     }
-    heap_.push_back(&e);
+    heap_.push_back(&c);
     SiftUp(heap_.size() - 1);
     return true;
   }
@@ -73,11 +76,11 @@ class StrideState {
   template <typename Pred>
   void DeactivateIf(Pred&& drop) {
     size_t kept = 0;
-    for (Entry* e : heap_) {
-      if (drop(e->client)) {
-        e->slot = kInactive;
+    for (StrideClient* c : heap_) {
+      if (drop(*c)) {
+        c->slot = StrideClient::kInactive;
       } else {
-        Place(kept++, e);
+        Place(kept++, c);
       }
     }
     if (kept == heap_.size()) {
@@ -95,46 +98,26 @@ class StrideState {
   }
 
  private:
-  static constexpr size_t kInactive = static_cast<size_t>(-1);
-
-  struct Entry {
-    double weight = 1.0;
-    double pass = 0;
-    int32_t client = 0;
-    size_t slot = kInactive;  // index in heap_ while active
-  };
-
-  Entry& Touch(int32_t client) {
-    auto [it, inserted] = entries_.try_emplace(client);
-    if (inserted) {
-      it->second.client = client;
-      if (heap_.capacity() < entries_.size()) {
-        heap_.reserve(2 * entries_.size());
-      }
-    }
-    return it->second;
-  }
-
-  void Place(size_t i, Entry* e) {
-    heap_[i] = e;
-    e->slot = i;
+  void Place(size_t i, StrideClient* c) {
+    heap_[i] = c;
+    c->slot = i;
   }
 
   void SiftUp(size_t i) {
-    Entry* e = heap_[i];
+    StrideClient* c = heap_[i];
     while (i > 0) {
       size_t parent = (i - 1) / 2;
-      if (heap_[parent]->pass <= e->pass) {
+      if (heap_[parent]->pass <= c->pass) {
         break;
       }
       Place(i, heap_[parent]);
       i = parent;
     }
-    Place(i, e);
+    Place(i, c);
   }
 
   void SiftDown(size_t i) {
-    Entry* e = heap_[i];
+    StrideClient* c = heap_[i];
     for (;;) {
       size_t child = 2 * i + 1;
       if (child >= heap_.size()) {
@@ -144,24 +127,23 @@ class StrideState {
           heap_[child + 1]->pass < heap_[child]->pass) {
         ++child;
       }
-      if (e->pass <= heap_[child]->pass) {
+      if (c->pass <= heap_[child]->pass) {
         break;
       }
       Place(i, heap_[child]);
       i = child;
     }
-    Place(i, e);
+    Place(i, c);
   }
 
-  void Resift(Entry& e) {
-    if (e.slot != kInactive) {
-      SiftUp(e.slot);
-      SiftDown(e.slot);
+  void Resift(StrideClient& c) {
+    if (c.slot != StrideClient::kInactive) {
+      SiftUp(c.slot);
+      SiftDown(c.slot);
     }
   }
 
-  std::unordered_map<int32_t, Entry> entries_;
-  std::vector<Entry*> heap_;  // active entries, min-heap on pass
+  std::vector<StrideClient*> heap_;  // active clients, min-heap on pass
 };
 
 // A token bucket whose balance may go negative (debt): work is admitted

@@ -154,6 +154,16 @@ void Simulator::Run(Nanos until) {
   }
 }
 
+void Simulator::UncountWakeup() {
+  --events_processed_;
+  --counters().sim_events;
+}
+
+void Simulator::CountWakeup() {
+  ++events_processed_;
+  ++counters().sim_events;
+}
+
 JoinHandle Simulator::Spawn(Task<void> task) {
   auto state = std::make_shared<JoinState>();
   RootDriver driver = DriveRoot(std::move(task), state);

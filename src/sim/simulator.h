@@ -101,6 +101,13 @@ class Simulator {
   // Total wake-ups processed (for overhead accounting in benches).
   uint64_t events_processed() const { return events_processed_; }
 
+  // Wake-up accounting for a ready item that resumes coroutines inline
+  // (Condition's walk, src/sim/sync.h): the item itself is not a wake-up
+  // (UncountWakeup), each coroutine it resumes is one (CountWakeup). Both
+  // move events_processed() and Counters::sim_events together.
+  void UncountWakeup();
+  void CountWakeup();
+
  private:
   struct QueueItem {
     Nanos time;

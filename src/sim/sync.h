@@ -6,8 +6,10 @@
 #define SRC_SIM_SYNC_H_
 
 #include <coroutine>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <vector>
 
 #include "src/sim/simulator.h"
 #include "src/sim/task.h"
@@ -18,7 +20,9 @@ namespace splitio {
 // A broadcast/one-shot notification. Waiters suspend until Notify{One,All}.
 // The event carries no state: a waiter that arrives after a notification
 // waits for the next one (condition-variable semantics — always re-check the
-// predicate in a loop).
+// predicate in a loop). Every notified waiter is resumed, even when its
+// re-check fails; for a re-check loop with a large herd use Condition
+// below, which re-checks without resuming.
 class Event {
  public:
   class Awaiter {
@@ -103,6 +107,89 @@ class Event {
                                  Nanos timeout);
 
   std::deque<WaitNode> waiters_;
+};
+
+// A condition variable whose waits carry their predicate.
+// `co_await cond.WaitUntil(pred)` behaves exactly like
+//
+//   while (!pred()) co_await event.Wait();
+//
+// on an Event notified at the same points, with one difference: a notified
+// waiter whose predicate is still false goes back on the queue without
+// being resumed.
+//
+//  - NotifyAll claims the current waiters as one batch and schedules one
+//    same-time ready item. The batch's individual wake-ups would have been
+//    consecutive in the ready FIFO, so the item runs exactly where they
+//    would have.
+//  - The item walks the batch in FIFO order. It resumes each waiter whose
+//    predicate holds inline, and appends the others to the queue's tail,
+//    which is where their re-wait would have put them.
+//  - A NotifyAll from a waiter resumed during a walk claims only the
+//    waiters queued at that moment, as a new batch.
+//
+// Each waiter a walk resumes counts as one simulator event; a futile
+// re-check counts none. Once the buffers have grown to the herd, neither
+// NotifyAll nor a walk allocates. The predicate must have no side effects
+// and must outlive the wait: pass a named lambda of the waiting coroutine.
+// A Condition must outlive its pending walks.
+class Condition {
+ public:
+  // Holds raw pointers only, so it stays trivially destructible (see the
+  // awaiter rule in task.h).
+  template <typename Pred>
+  class Awaiter {
+   public:
+    Awaiter(Condition* cond, const Pred* pred) : cond_(cond), pred_(pred) {}
+    bool await_ready() const { return (*pred_)(); }
+    void await_suspend(std::coroutine_handle<> h) {
+      cond_->waiters_.push_back(Waiter{h, &Check<Pred>, pred_});
+    }
+    void await_resume() const noexcept {}
+
+   private:
+    Condition* cond_;
+    const Pred* pred_;
+  };
+
+  Condition() = default;
+  Condition(const Condition&) = delete;
+  Condition& operator=(const Condition&) = delete;
+  ~Condition();
+
+  template <typename Pred>
+  Awaiter<Pred> WaitUntil(const Pred& pred) {
+    return Awaiter<Pred>(this, &pred);
+  }
+
+  void NotifyAll();
+
+ private:
+  struct Waiter {
+    std::coroutine_handle<> handle;
+    bool (*check)(const void* pred);
+    const void* pred;
+  };
+
+  template <typename Pred>
+  static bool Check(const void* pred) {
+    return (*static_cast<const Pred*>(pred))();
+  }
+
+  // The coroutine behind every walk item: one Walk() per resumption.
+  Task<void> WalkLoop();
+  void Walk();
+
+  std::vector<Waiter> waiters_;
+  // Claimed batches not yet walked, back to back in claim order: batch i
+  // ends before claimed_[batch_ends_[i]]. Walked entries stay in place
+  // until every pending batch is walked, so indices stay valid while a
+  // nested NotifyAll appends.
+  std::vector<Waiter> claimed_;
+  std::vector<size_t> batch_ends_;
+  size_t next_waiter_ = 0;
+  size_t next_batch_ = 0;
+  std::coroutine_handle<> walker_;  // created by the first NotifyAll
 };
 
 // A one-shot completion latch: once Set(), all current and future waiters

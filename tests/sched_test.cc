@@ -23,26 +23,40 @@ namespace {
 
 TEST(StrideState, ChargesInverselyToWeight) {
   StrideState stride;
-  stride.SetWeight(1, 8);
-  stride.SetWeight(2, 1);
-  stride.Charge(1, 800);
-  stride.Charge(2, 100);
-  EXPECT_DOUBLE_EQ(stride.Pass(1), 100.0);
-  EXPECT_DOUBLE_EQ(stride.Pass(2), 100.0);
-  stride.SetPassAtLeast(1, 500.0);
-  EXPECT_DOUBLE_EQ(stride.Pass(1), 500.0);
-  stride.SetPassAtLeast(1, 100.0);  // never lowers
-  EXPECT_DOUBLE_EQ(stride.Pass(1), 500.0);
+  StrideClient a;
+  StrideClient b;
+  stride.SetWeight(a, 8);
+  stride.SetWeight(b, 1);
+  stride.Charge(a, 800);
+  stride.Charge(b, 100);
+  EXPECT_DOUBLE_EQ(a.pass, 100.0);
+  EXPECT_DOUBLE_EQ(b.pass, 100.0);
+  stride.SetPassAtLeast(a, 500.0);
+  EXPECT_DOUBLE_EQ(a.pass, 500.0);
+  stride.SetPassAtLeast(a, 100.0);  // never lowers
+  EXPECT_DOUBLE_EQ(a.pass, 500.0);
 }
 
+// Client records for the index tests: the index of a record is its id.
+struct StrideClients {
+  explicit StrideClients(StrideState& stride, int n) : records(n) {
+    stride.Reserve(records.size());
+  }
+  int32_t Id(const StrideClient& c) const {
+    return static_cast<int32_t>(&c - records.data());
+  }
+  std::vector<StrideClient> records;
+};
+
 // The reference the heap index replaced: walk every active client.
-double BruteForceMinPass(StrideState& stride, const std::set<int32_t>& active) {
+double BruteForceMinPass(const StrideClients& clients,
+                         const std::set<int32_t>& active) {
   if (active.empty()) {
     return 0;
   }
   double min_pass = std::numeric_limits<double>::max();
   for (int32_t c : active) {
-    min_pass = std::min(min_pass, stride.Pass(c));
+    min_pass = std::min(min_pass, clients.records[c].pass);
   }
   return min_pass;
 }
@@ -55,15 +69,17 @@ double BruteForceMinPass(StrideState& stride, const std::set<int32_t>& active) {
 TEST(StrideState, ActiveMinMatchesBruteForceWalk) {
   constexpr int kClients = 1000;
   StrideState stride;
+  StrideClients clients(stride, kClients);
   std::set<int32_t> active;
   Rng rng(20151004);
-  for (int c = 0; c < kClients; ++c) {
+  for (StrideClient& c : clients.records) {
     stride.SetWeight(c, static_cast<double>(1 << rng.Below(4)));
   }
   auto client = [&]() { return static_cast<int32_t>(rng.Below(kClients)); };
   size_t peak_active = 0;
   for (int step = 0; step < 20000; ++step) {
     int32_t c = client();
+    StrideClient& record = clients.records[c];
     uint64_t op = rng.Below(10);
     if (step % 2000 == 1999) {
       // A Housekeep-style sweep drops a pseudo-random subset.
@@ -72,49 +88,55 @@ TEST(StrideState, ActiveMinMatchesBruteForceWalk) {
       auto drop = [=](int32_t x) {
         return (static_cast<uint64_t>(x) * 2654435761u) % modulus == offset;
       };
-      stride.DeactivateIf(drop);
+      stride.DeactivateIf(
+          [&](const StrideClient& r) { return drop(clients.Id(r)); });
       std::erase_if(active, drop);
     } else if (op < 3) {  // charge (BufferDirty, dispatch, completion)
-      stride.Charge(c, 8.0 * static_cast<double>(rng.Below(64)));
+      stride.Charge(record, 8.0 * static_cast<double>(rng.Below(64)));
     } else if (op < 5) {  // refund (BufferFree, revision downwards)
-      stride.Charge(c, -8.0 * static_cast<double>(rng.Below(64)));
+      stride.Charge(record, -8.0 * static_cast<double>(rng.Below(64)));
     } else if (op < 6) {  // floor at the minimum or at another client's pass
-      stride.SetPassAtLeast(c, rng.Below(2) == 0 ? stride.MinActivePass()
-                                                 : stride.Pass(client()));
+      stride.SetPassAtLeast(record, rng.Below(2) == 0
+                                        ? stride.MinActivePass()
+                                        : clients.records[client()].pass);
     } else if (op < 9) {
-      EXPECT_EQ(stride.Activate(c), active.insert(c).second);
+      EXPECT_EQ(stride.Activate(record), active.insert(c).second);
     } else {  // one client leaves
-      stride.DeactivateIf([c](int32_t x) { return x == c; });
+      stride.DeactivateIf([&](const StrideClient& r) { return &r == &record; });
       active.erase(c);
     }
     peak_active = std::max(peak_active, active.size());
-    ASSERT_EQ(stride.MinActivePass(), BruteForceMinPass(stride, active))
+    ASSERT_EQ(stride.MinActivePass(), BruteForceMinPass(clients, active))
         << "step " << step;
   }
   EXPECT_GT(peak_active, 500u);
 }
 
-// Once every client has been seen, the index's operations never allocate
-// (the heap's capacity tracks the number of known clients).
+// Once the heap is reserved for every known client, the index's
+// operations never allocate.
 TEST(StrideState, IndexIsAllocationFreeOnceClientsAreKnown) {
   constexpr int kClients = 1000;
   StrideState stride;
+  StrideClients clients(stride, kClients);
   for (int c = 0; c < kClients; ++c) {
-    stride.SetWeight(c, 1 + c % 8);
+    stride.SetWeight(clients.records[c], 1 + c % 8);
   }
   uint64_t before = counters().allocs;
   double sink = 0;
   for (int round = 0; round < 20; ++round) {
     for (int c = 0; c < kClients; ++c) {
-      stride.Activate(c);
-      stride.Charge(c, (c * 7 + round) % 13 - 4.0);
-      stride.SetPassAtLeast(c, stride.MinActivePass());
+      StrideClient& record = clients.records[c];
+      stride.Activate(record);
+      stride.Charge(record, (c * 7 + round) % 13 - 4.0);
+      stride.SetPassAtLeast(record, stride.MinActivePass());
       sink += stride.MinActivePass();
     }
-    stride.DeactivateIf([&](int32_t c) { return (c + round) % 3 != 0; });
+    stride.DeactivateIf([&](const StrideClient& r) {
+      return (clients.Id(r) + round) % 3 != 0;
+    });
     sink += stride.MinActivePass();
   }
-  stride.DeactivateIf([](int32_t) { return true; });
+  stride.DeactivateIf([](const StrideClient&) { return true; });
   EXPECT_EQ(counters().allocs, before);
   EXPECT_EQ(stride.MinActivePass(), 0.0);
   EXPECT_NE(sink, 0.0);
