@@ -25,7 +25,9 @@
 // --compare reads two BENCH_results.json files produced by this runner and
 // reports per-bench deltas; it exits non-zero if any bench's events_per_sec
 // regressed by more than --threshold (default 10%), which is what CI gates
-// on.
+// on. Each row also shows the events and wall_ms behind the rate (old ->
+// new): a change that removes futile wake-ups lowers events/sec by
+// construction, even when the bench gets faster.
 #include <fcntl.h>
 #include <sys/resource.h>
 #include <sys/stat.h>
@@ -304,6 +306,7 @@ void WriteJson(const std::string& out_path,
 
 struct CompareEntry {
   double wall_ms = 0;
+  double events_processed = 0;
   double events_per_sec = 0;
 };
 
@@ -323,6 +326,7 @@ std::map<std::string, CompareEntry> LoadResults(const std::string& path) {
     std::string name = s.substr(name_start, name_end - name_start);
     CompareEntry e;
     FindNumber(s, "wall_ms", &e.wall_ms, name_end);
+    FindNumber(s, "events_processed", &e.events_processed, name_end);
     FindNumber(s, "events_per_sec", &e.events_per_sec, name_end);
     entries[name] = e;
     pos = name_end;
@@ -339,14 +343,16 @@ int Compare(const std::string& old_path, const std::string& new_path,
                  olds.size(), news.size());
     return 2;
   }
-  std::printf("%-40s %12s %12s %8s\n", "bench", "old ev/s", "new ev/s",
-              "delta");
+  std::printf("%-36s %25s %21s %10s %10s %8s\n", "bench",
+              "events (old -> new)", "wall_ms (old -> new)", "old ev/s",
+              "new ev/s", "delta");
   int regressions = 0;
   for (const auto& [name, n] : news) {
     auto it = olds.find(name);
     if (it == olds.end()) {
-      std::printf("%-40s %12s %12.0f %8s\n", name.c_str(), "(new)",
-                  n.events_per_sec, "-");
+      std::printf("%-36s %11s -> %-10.0f %9s -> %-8.1f %10s %10.0f %8s\n",
+                  name.c_str(), "(new)", n.events_processed, "-", n.wall_ms,
+                  "-", n.events_per_sec, "-");
       continue;
     }
     const CompareEntry& o = it->second;
@@ -356,9 +362,11 @@ int Compare(const std::string& old_path, const std::string& new_path,
                        : 0;
     bool regressed = delta < -threshold;
     regressions += regressed ? 1 : 0;
-    std::printf("%-40s %12.0f %12.0f %+7.1f%%%s\n", name.c_str(),
-                o.events_per_sec, n.events_per_sec, delta * 100,
-                regressed ? "  REGRESSION" : "");
+    std::printf("%-36s %11.0f -> %-10.0f %9.1f -> %-8.1f %10.0f %10.0f "
+                "%+7.1f%%%s\n",
+                name.c_str(), o.events_processed, n.events_processed,
+                o.wall_ms, n.wall_ms, o.events_per_sec, n.events_per_sec,
+                delta * 100, regressed ? "  REGRESSION" : "");
   }
   if (regressions > 0) {
     std::printf("\n%d bench(es) regressed more than %.0f%% in events/sec\n",
