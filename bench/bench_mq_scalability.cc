@@ -10,9 +10,10 @@
 // already saturated at depth 1 and the rows flatten out.
 //
 // The bench is self-checking and exits non-zero when any of these hold:
-//  - the mq path at nr_hw_queues=1, queue_depth=1 does not reproduce the
-//    legacy single-queue dispatch exactly (same bytes, ops, and block-layer
-//    request counts);
+//  - mq at nr_hw_queues=1, queue_depth=1 does not reproduce the legacy
+//    configuration exactly (same bytes, ops, and block-layer request
+//    counts). Both are one dispatch context at depth 1, serviced inline, so
+//    this guards the mapping from BlockMqConfig to contexts;
 //  - throughput is not monotonically non-decreasing in depth for the
 //    single-context row;
 //  - depth 8 fails to reach 1.5x depth 1 on the single-context row.
@@ -104,8 +105,8 @@ int main(int argc, char** argv) {
       if (hw == 1) {
         hw1_by_depth[di] = r.mbps;
         if (d == 1) {
-          // Equivalence gate: mq at hw=1, depth=1 must be behaviorally
-          // identical to the legacy single-queue dispatch.
+          // Equivalence gate: mq at hw=1, depth=1 is the legacy
+          // configuration and must behave identically.
           if (r.bytes != legacy.bytes || r.ops != legacy.ops ||
               r.submitted != legacy.submitted ||
               r.completed != legacy.completed) {

@@ -41,35 +41,22 @@ obs::TraceEvent RequestEvent(obs::EventType type, const BlockRequest& req) {
 
 }  // namespace
 
-void BlockLayer::Start() {
-  if (!mq_.enabled) {
-    Simulator::current().Spawn(DispatchLoop());
-    return;
-  }
-  effective_hw_queues_ =
-      elevator_->mq_aware() ? std::max(1, mq_.nr_hw_queues) : 1;
-  mq_.queue_depth = std::max(1, mq_.queue_depth);
-  // One context at depth 1 cannot overlap commands, so dispatch runs inline
-  // (await, don't spawn) and services through the serial device path. This
-  // keeps the completion->Next() step atomic exactly like the legacy loop —
-  // the same-timestamp interleaving, and therefore the schedule, is
-  // identical (the depth-1 equivalence tests pin this down).
-  mq_serial_ = effective_hw_queues_ == 1 && mq_.queue_depth == 1;
-  device_->set_queue_depth(
-      static_cast<uint32_t>(effective_hw_queues_ * mq_.queue_depth));
-  for (int i = 0; i < effective_hw_queues_; ++i) {
-    hw_queues_.push_back(std::make_unique<HwQueue>());
-  }
-  for (int i = 0; i < effective_hw_queues_; ++i) {
-    Simulator::current().Spawn(MqDispatchLoop(i));
-  }
-}
+BlockLayer::BlockLayer(BlockDevice* device, Elevator* elevator,
+                       const BlockMqConfig& mq)
+    : device_(device),
+      elevator_(elevator),
+      hw_queues_(static_cast<size_t>(
+          mq.enabled && elevator->mq_aware() ? std::max(1, mq.nr_hw_queues)
+                                             : 1)),
+      queue_depth_(mq.enabled ? std::max(1, mq.queue_depth) : 1),
+      serial_(hw_queues_.size() == 1 && queue_depth_ == 1) {}
 
-int BlockLayer::MapSubmitterToHw(int32_t pid) const {
-  if (pid < 0 || effective_hw_queues_ <= 1) {
-    return 0;
+void BlockLayer::Start() {
+  device_->set_queue_depth(
+      static_cast<uint32_t>(nr_hw_queues() * queue_depth_));
+  for (int i = 0; i < nr_hw_queues(); ++i) {
+    Simulator::current().Spawn(ContextLoop(i));
   }
-  return static_cast<int>(pid % effective_hw_queues_);
 }
 
 void BlockLayer::Submit(BlockRequestPtr req) {
@@ -83,49 +70,66 @@ void BlockLayer::Submit(BlockRequestPtr req) {
   }
   ++total_submitted_;
   ++counters().block_submitted;
-  if (!mq_.enabled) {
-    if (elevator_->TryMerge(req)) {
-      ++total_merged_;
-      ++counters().block_merged;
-      if (obs::TracingActive()) {
-        obs::EmitEvent(RequestEvent(obs::EventType::kElvMerge, *req));
-      }
-      return;  // rides on the container request's completion
+  HwQueue* q = &hw_queues_[0];
+  if (hw_queues_.size() == 1) {
+    if (!MergeOrAdd(std::move(req))) {
+      return;  // merged: rides on the container request's completion
+    }
+  } else {
+    int32_t pid = req->submitter != nullptr ? req->submitter->pid() : -1;
+    if (pid >= 0) {
+      q = &hw_queues_[static_cast<size_t>(pid) % hw_queues_.size()];
     }
     if (obs::TracingActive()) {
-      obs::EmitEvent(RequestEvent(obs::EventType::kElvAdd, *req));
+      obs::EmitEvent(RequestEvent(obs::EventType::kMqQueue, *req));
     }
-    elevator_->Add(std::move(req));
-    ++elv_queued_;
-    NoteQueued();
-    submit_event_.NotifyAll();
-    return;
+    q->staged.push_back(std::move(req));
+    ++sw_staged_;
   }
-  // mq path: stage in the submitter's software queue; the mapped hardware
-  // context merges and inserts into the elevator when it drains. Merging at
-  // drain time sees the same elevator state as merging at submit time
-  // (everything that arrived earlier was drained earlier), so behaviour at
-  // depth 1 matches the legacy path.
-  int32_t pid = req->submitter != nullptr ? req->submitter->pid() : -1;
-  auto [it, inserted] = sw_queues_.try_emplace(pid);
-  if (inserted) {
-    it->second.hw_queue = MapSubmitterToHw(pid);
-  }
-  ++it->second.submitted;
-  int hw = it->second.hw_queue;
-  if (obs::TracingActive()) {
-    obs::EmitEvent(RequestEvent(obs::EventType::kMqQueue, *req));
-  }
-  it->second.fifo.emplace_back(submit_seq_++, std::move(req));
-  ++sw_staged_;
   NoteQueued();
   ++counters().mq_kicks;
-  hw_queues_[static_cast<size_t>(hw)]->kick.NotifyAll();
+  q->kick.NotifyAll();
 }
 
 Task<void> BlockLayer::SubmitAndWait(BlockRequestPtr req) {
   Submit(req);
   co_await req->done.Wait();
+}
+
+bool BlockLayer::MergeOrAdd(BlockRequestPtr req) {
+  if (elevator_->TryMerge(req)) {
+    ++total_merged_;
+    ++counters().block_merged;
+    if (obs::TracingActive()) {
+      obs::EmitEvent(RequestEvent(obs::EventType::kElvMerge, *req));
+    }
+    return false;
+  }
+  if (obs::TracingActive()) {
+    obs::EmitEvent(RequestEvent(obs::EventType::kElvAdd, *req));
+  }
+  elevator_->Add(std::move(req));
+  ++elv_queued_;
+  return true;
+}
+
+void BlockLayer::DrainStaged(HwQueue& q) {
+  // Indexed, not iterated: a request staged while draining lands at the
+  // tail and is drained in this pass too.
+  for (size_t i = 0; i < q.staged.size(); ++i) {
+    --sw_staged_;
+    MergeOrAdd(std::move(q.staged[i]));
+  }
+  q.staged.clear();
+}
+
+int BlockLayer::Fault(BlockRequest& req) {
+  int fault = fault_hook_ ? fault_hook_(req) : 0;
+  if (fault != 0) {
+    req.service_time = 0;
+    req.result = fault;
+  }
+  return fault;
 }
 
 void BlockLayer::FinishRequest(const BlockRequestPtr& req) {
@@ -169,111 +173,30 @@ void BlockLayer::FinishRequest(const BlockRequestPtr& req) {
   req->merged.clear();
 }
 
-Task<void> BlockLayer::DispatchLoop() {
-  for (;;) {
-    BlockRequestPtr req = elevator_->Next();
-    if (req == nullptr) {
-      Nanos idle = elevator_->IdleHint();
-      if (idle > 0) {
-        bool notified = co_await submit_event_.WaitWithTimeout(idle);
-        if (!notified) {
-          elevator_->OnIdleExpired();
-        }
-      } else {
-        co_await submit_event_.Wait();
-      }
-      continue;
-    }
-    --elv_queued_;
-    if (obs::TracingActive()) {
-      obs::EmitEvent(RequestEvent(obs::EventType::kElvDispatch, *req));
-    }
-    if (req->is_flush) {
-      req->service_time = co_await device_->Flush();
-      req->result = 0;
-    } else {
-      int fault = fault_hook_ ? fault_hook_(*req) : 0;
-      if (fault != 0) {
-        req->service_time = 0;
-        req->result = fault;
-      } else {
-        DeviceRequest dreq{req->sector, req->bytes, req->is_write,
-                           req->request_id};
-        ++total_inflight_;  // keep inflight() meaningful on the legacy path
-        DeviceResult res = co_await device_->Execute(dreq);
-        --total_inflight_;
-        req->service_time = res.service;
-        req->result = res.error;
-        req->device_seq = res.write_seq;
-      }
-    }
-    FinishRequest(req);
-  }
-}
-
-void BlockLayer::DrainSwQueues(int hw) {
-  // Pull this context's staged requests in global arrival order: repeatedly
-  // take the lowest submission sequence number among the mapped queues.
-  // O(#submitters) per request — submitter counts are small (tens).
-  for (;;) {
-    SwQueue* best = nullptr;
-    uint64_t best_seq = 0;
-    for (auto& [pid, sq] : sw_queues_) {
-      (void)pid;
-      if (sq.hw_queue != hw || sq.fifo.empty()) {
-        continue;
-      }
-      if (best == nullptr || sq.fifo.front().first < best_seq) {
-        best_seq = sq.fifo.front().first;
-        best = &sq;
-      }
-    }
-    if (best == nullptr) {
-      return;
-    }
-    BlockRequestPtr req = std::move(best->fifo.front().second);
-    best->fifo.pop_front();
-    --sw_staged_;
-    if (elevator_->TryMerge(req)) {
-      ++total_merged_;
-      ++counters().block_merged;
-      if (obs::TracingActive()) {
-        obs::EmitEvent(RequestEvent(obs::EventType::kElvMerge, *req));
-      }
-      continue;
-    }
-    if (obs::TracingActive()) {
-      obs::EmitEvent(RequestEvent(obs::EventType::kElvAdd, *req));
-    }
-    elevator_->Add(std::move(req));
-    ++elv_queued_;
-  }
-}
-
 void BlockLayer::KickIdleSiblings(int hw) {
-  for (int i = 0; i < effective_hw_queues_; ++i) {
+  for (int i = 0; i < nr_hw_queues(); ++i) {
     if (i == hw) {
       continue;
     }
-    HwQueue& sibling = *hw_queues_[static_cast<size_t>(i)];
-    if (sibling.inflight < mq_.queue_depth) {
+    HwQueue& sibling = hw_queues_[static_cast<size_t>(i)];
+    if (sibling.inflight < queue_depth_) {
       ++counters().mq_kicks;
       sibling.kick.NotifyAll();
     }
   }
 }
 
-Task<void> BlockLayer::MqDispatchLoop(int hw) {
-  HwQueue& q = *hw_queues_[static_cast<size_t>(hw)];
+Task<void> BlockLayer::ContextLoop(int hw) {
+  HwQueue& q = hw_queues_[static_cast<size_t>(hw)];
   for (;;) {
-    DrainSwQueues(hw);
+    DrainStaged(q);
     if (flush_draining_) {
       // A barrier is in progress on another context; hold dispatch until
       // it completes so the flush point stays well-defined.
       co_await flush_done_.Wait();
       continue;
     }
-    if (q.inflight >= mq_.queue_depth) {
+    if (q.inflight >= queue_depth_) {
       // Saturated: hand remaining elevator work to idle siblings.
       if (!elevator_->Empty()) {
         KickIdleSiblings(hw);
@@ -300,40 +223,49 @@ Task<void> BlockLayer::MqDispatchLoop(int hw) {
     if (obs::TracingActive()) {
       obs::EmitEvent(RequestEvent(obs::EventType::kElvDispatch, *req));
     }
-    if (req->is_flush) {
-      co_await MqFlushBarrier(std::move(req));
+    if (!serial_) {
+      if (req->is_flush) {
+        co_await FlushBarrier(std::move(req));
+      } else {
+        ++q.inflight;
+        ++total_inflight_;
+        Simulator::current().Spawn(DispatchQueued(hw, std::move(req)));
+      }
       continue;
     }
-    ++q.inflight;
-    ++total_inflight_;
-    if (mq_serial_) {
-      co_await MqDispatchOne(hw, std::move(req));
-    } else {
-      Simulator::current().Spawn(MqDispatchOne(hw, std::move(req)));
+    // One command at a time: service it inline, with no frame of its own.
+    if (req->is_flush) {
+      req->service_time = co_await device_->Flush();
+      req->result = 0;
+    } else if (Fault(*req) == 0) {
+      DeviceRequest dreq{req->sector, req->bytes, req->is_write,
+                         req->request_id};
+      ++total_inflight_;
+      DeviceResult res = co_await device_->Execute(dreq);
+      --total_inflight_;
+      req->service_time = res.service;
+      req->result = res.error;
+      req->device_seq = res.write_seq;
     }
+    FinishRequest(req);
   }
 }
 
-Task<void> BlockLayer::MqDispatchOne(int hw, BlockRequestPtr req) {
+Task<void> BlockLayer::DispatchQueued(int hw, BlockRequestPtr req) {
   if (obs::TracingActive()) {
     obs::TraceEvent e = RequestEvent(obs::EventType::kMqIssue, *req);
     e.aux = static_cast<uint64_t>(hw);
     obs::EmitEvent(std::move(e));
   }
-  int fault = fault_hook_ ? fault_hook_(*req) : 0;
-  if (fault != 0) {
-    req->service_time = 0;
-    req->result = fault;
-  } else {
+  if (Fault(*req) == 0) {
     DeviceRequest dreq{req->sector, req->bytes, req->is_write,
                        req->request_id};
-    DeviceResult res = mq_serial_ ? co_await device_->Execute(dreq)
-                                  : co_await device_->ExecuteQueued(dreq);
+    DeviceResult res = co_await device_->ExecuteQueued(dreq);
     req->service_time = res.service;
     req->result = res.error;
     req->device_seq = res.write_seq;
   }
-  HwQueue& q = *hw_queues_[static_cast<size_t>(hw)];
+  HwQueue& q = hw_queues_[static_cast<size_t>(hw)];
   --q.inflight;
   --total_inflight_;
   FinishRequest(req);
@@ -343,7 +275,7 @@ Task<void> BlockLayer::MqDispatchOne(int hw, BlockRequestPtr req) {
   }
 }
 
-Task<void> BlockLayer::MqFlushBarrier(BlockRequestPtr req) {
+Task<void> BlockLayer::FlushBarrier(BlockRequestPtr req) {
   // Only one barrier can run at a time: every other context blocks on
   // flush_done_ before reaching Next(), so a second flush request stays in
   // the elevator until this one completes.
@@ -356,9 +288,7 @@ Task<void> BlockLayer::MqFlushBarrier(BlockRequestPtr req) {
   flush_draining_ = false;
   FinishRequest(req);
   flush_done_.NotifyAll();
-  for (auto& hw : hw_queues_) {
-    hw->kick.NotifyAll();
-  }
+  KickDispatcher();
 }
 
 }  // namespace splitio

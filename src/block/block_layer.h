@@ -1,24 +1,34 @@
 // The block layer: request queue + dispatch machinery in front of a device.
 //
-// Two dispatch topologies (Linux's single-queue vs blk-mq split):
+// One design serves every stack: N *hardware dispatch contexts*, each a
+// loop that pulls requests from the elevator and sustains up to
+// `queue_depth` commands on the device. The legacy configuration
+// (BlockMqConfig::enabled false, what every figure bench runs) is one
+// context at depth 1, which is Linux's single-queue block layer.
+// Single-queue elevators (Elevator::mq_aware() false) always run behind
+// one context; mq-aware ones (the split schedulers) fan out across all of
+// them.
 //
-//  - Legacy single-queue (the default): processes submit, the elevator
-//    decides order, one dispatcher coroutine services one request at a time
-//    on the device. Byte-identical to the pre-mq implementation — every
-//    figure bench runs this path.
+// Submission follows one of two staging rules:
 //
-//  - Multi-queue (BlockMqConfig::enabled): submissions land in
-//    *per-submitter software queues*, which feed N *hardware dispatch
-//    contexts*. Each context drains its mapped software queues into the
-//    elevator in arrival order, then dispatches up to `queue_depth`
-//    commands concurrently through the device's command queue
-//    (BlockDevice::ExecuteQueued — NCQ selection / channel parallelism
-//    happens there). Single-queue elevators (Elevator::mq_aware() false)
-//    are automatically run behind one hardware context; mq-aware elevators
-//    (the split schedulers) fan out across all of them. A flush request is
-//    a global barrier: it drains every in-flight command on every context
-//    before the device cache flush, so crash-consistency ordering holds no
-//    matter the topology.
+//  - One context: the request is merged into or added to the elevator at
+//    once, then the context is kicked. This is how Linux blk-mq hands a
+//    request to an attached I/O scheduler, and it matters for correctness:
+//    schedulers look at their queues from their own timers (split-deadline's
+//    own writeback yields to queued deadline-bound reads), so a request that
+//    arrives while the device is busy must already be in the elevator.
+//  - Two or more contexts: the request is staged in the FIFO of the context
+//    its submitter maps to (pid % contexts; no submitter: context 0), and
+//    that context drains its FIFO into the elevator, in arrival order,
+//    before its next Next().
+//
+// One context at depth 1 services each request inline: the loop awaits the
+// device's serial path, and flushes are plain device flushes. With more than
+// one command in flight, dispatch goes through the device's command queue
+// (BlockDevice::ExecuteQueued — NCQ selection / channel parallelism happens
+// there), and a flush request is a global barrier: it drains every
+// in-flight command on every context before the device cache flush, so
+// crash-consistency ordering holds no matter the topology.
 //
 // Per-priority submission counters reproduce the "requests seen by CFQ per
 // priority" measurement of Figure 3 (right).
@@ -27,10 +37,7 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <map>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -43,14 +50,15 @@
 namespace splitio {
 
 // Queue topology between the block layer and the device. The default is
-// the legacy single-queue, depth-1 configuration — the historical contract
-// every existing experiment was calibrated against.
+// one context at depth 1 — the legacy single-queue configuration every
+// existing experiment was calibrated against.
 struct BlockMqConfig {
-  // Off: one serial dispatch loop (legacy). On: software queues feeding
-  // hardware dispatch contexts with queued device commands.
+  // Off: one context at depth 1, whatever the other two fields say. On:
+  // the contexts and depth below.
   bool enabled = false;
   // Hardware dispatch contexts. Elevators that are not mq-aware are run
-  // behind a single context regardless of this setting.
+  // behind a single context regardless of this setting. With two or more,
+  // submissions are staged per context (see above).
   int nr_hw_queues = 1;
   // In-flight device commands each hardware context may sustain; the
   // device's command queue depth is set to nr_hw_queues * queue_depth.
@@ -62,43 +70,42 @@ class BlockLayer {
   // Does not take ownership of the elevator (the enclosing stack owns it —
   // for split schedulers the elevator is the scheduler object itself).
   BlockLayer(BlockDevice* device, Elevator* elevator,
-             const BlockMqConfig& mq = BlockMqConfig())
-      : device_(device), elevator_(elevator), mq_(mq) {}
+             const BlockMqConfig& mq = BlockMqConfig());
 
-  // Spawns the dispatch loop(s) in the current simulator. Call once.
+  // Spawns one dispatch loop per context in the current simulator. Call
+  // once.
   void Start();
 
-  // Hands a request to the elevator (legacy) or the submitter's software
-  // queue (mq) and kicks the dispatcher. The caller may co_await
-  // req->done.Wait() for completion.
+  // Hands a request to the elevator (one context) or to its context's
+  // staging FIFO (two or more) and kicks that context. The caller may
+  // co_await req->done.Wait() for completion.
   void Submit(BlockRequestPtr req);
 
   // Convenience: submit and wait for completion.
   Task<void> SubmitAndWait(BlockRequestPtr req);
 
-  // Wakes the dispatch loop(s): call when an elevator makes previously-held
+  // Wakes every context: call when an elevator makes previously-held
   // requests dispatchable without a new submission (e.g. token refill).
   void KickDispatcher() {
-    submit_event_.NotifyAll();
-    for (auto& hw : hw_queues_) {
-      hw->kick.NotifyAll();
+    for (HwQueue& hw : hw_queues_) {
+      hw.kick.NotifyAll();
     }
   }
 
   Elevator& elevator() { return *elevator_; }
   BlockDevice& device() { return *device_; }
 
-  const BlockMqConfig& mq_config() const { return mq_; }
-  // Hardware dispatch contexts actually running (1 on the legacy path and
-  // for single-queue elevators).
-  int nr_hw_queues() const { return mq_.enabled ? effective_hw_queues_ : 1; }
+  // Hardware dispatch contexts (1 on the legacy configuration and for
+  // single-queue elevators).
+  int nr_hw_queues() const { return static_cast<int>(hw_queues_.size()); }
   // Commands currently dispatched to the device across all contexts.
   int inflight() const { return total_inflight_; }
 
   // Queue-depth telemetry (always on — plain integer bookkeeping): requests
-  // currently held in the elevator, requests staged in software queues, and
-  // the run-wide peak of their sum. Feeds the telemetry gauges
-  // (src/obs/metrics) and the peak-queue-depth cost axis in sched_search.
+  // currently held in the elevator, requests staged in context FIFOs (0
+  // with one context), and the run-wide peak of their sum. Feeds the
+  // telemetry gauges (src/obs/metrics) and the peak-queue-depth cost axis
+  // in sched_search.
   int elevator_queued() const { return elv_queued_; }
   int sw_staged() const { return sw_staged_; }
   int queue_peak() const { return queue_peak_; }
@@ -140,45 +147,44 @@ class BlockLayer {
   }
 
  private:
-  // One hardware dispatch context (heap-allocated: coroutines hold
-  // references across suspension points, so addresses must be stable).
+  // One hardware dispatch context. Contexts live in a vector sized once at
+  // construction: coroutines hold references across suspension points, so
+  // addresses must be stable.
   struct HwQueue {
-    Event kick;      // new work, freed slot, or barrier release
+    Event kick;  // new work, freed slot, or barrier release
     int inflight = 0;
+    // Requests staged for this context in arrival order (two or more
+    // contexts only); drained into the elevator before each Next().
+    std::vector<BlockRequestPtr> staged;
   };
 
-  // Per-submitter software queue; entries carry a global arrival sequence
-  // number so a context can drain its queues in submission order.
-  struct SwQueue {
-    std::deque<std::pair<uint64_t, BlockRequestPtr>> fifo;
-    int hw_queue = 0;
-    uint64_t submitted = 0;  // lifetime count, for instrumentation
-  };
-
-  Task<void> DispatchLoop();  // legacy serial path
-
-  // --- mq path ---
-  Task<void> MqDispatchLoop(int hw);
-  Task<void> MqDispatchOne(int hw, BlockRequestPtr req);
+  // One per context: drains the context's staged requests, then pulls the
+  // elevator's next request and dispatches it (inline when serial_).
+  Task<void> ContextLoop(int hw);
+  // Services one command through the device's command queue (more than one
+  // command can be in flight).
+  Task<void> DispatchQueued(int hw, BlockRequestPtr req);
   // Global barrier: drain all in-flight commands, flush the device cache,
   // complete `req`, release every context.
-  Task<void> MqFlushBarrier(BlockRequestPtr req);
-  // Moves requests from the software queues mapped to context `hw` into
-  // the elevator (TryMerge first), in global arrival order.
-  void DrainSwQueues(int hw);
+  Task<void> FlushBarrier(BlockRequestPtr req);
+  // Merges `req` into a queued request (false) or adds it to the elevator
+  // (true).
+  bool MergeOrAdd(BlockRequestPtr req);
+  // Moves context `q`'s staged requests into the elevator, in arrival order.
+  void DrainStaged(HwQueue& q);
   // Wakes sibling contexts that have free slots (work hand-off when this
   // context is saturated but the elevator still has requests).
   void KickIdleSiblings(int hw);
-  int MapSubmitterToHw(int32_t pid) const;
+  // Runs the fault hook: on a nonzero errno the request fails here, with no
+  // device I/O. Returns that errno.
+  int Fault(BlockRequest& req);
 
-  // Completion bookkeeping shared by both paths: counters, elevator
-  // OnComplete, completion hooks, latch, merged children.
+  // Completion bookkeeping: counters, elevator OnComplete, completion
+  // hooks, latch, merged children.
   void FinishRequest(const BlockRequestPtr& req);
 
   BlockDevice* device_;
   Elevator* elevator_;
-  BlockMqConfig mq_;
-  Event submit_event_;
   std::array<uint64_t, 8> submitted_by_priority_ = {};
   uint64_t total_submitted_ = 0;
   uint64_t total_completed_ = 0;
@@ -199,15 +205,11 @@ class BlockLayer {
   int sw_staged_ = 0;
   int queue_peak_ = 0;
 
-  // --- mq state ---
-  int effective_hw_queues_ = 1;
-  // True when one context runs at depth 1: dispatch is awaited inline via
-  // the serial device path, making the schedule identical to the legacy
-  // loop (see Start()).
-  bool mq_serial_ = false;
-  std::vector<std::unique_ptr<HwQueue>> hw_queues_;
-  std::map<int32_t, SwQueue> sw_queues_;  // keyed by submitter pid (-1: none)
-  uint64_t submit_seq_ = 0;
+  // --- dispatch contexts ---
+  std::vector<HwQueue> hw_queues_;
+  int queue_depth_ = 1;
+  // One context at depth 1: dispatch runs inline in the context's loop.
+  bool serial_ = true;
   int total_inflight_ = 0;
   bool flush_draining_ = false;
   Event drain_event_;  // notified when total_inflight_ reaches 0

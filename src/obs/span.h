@@ -10,7 +10,8 @@
 //   txn_joined .. added        in_journal   (jbd2 transaction / XFS log
 //                                            item pinned before the record
 //                                            write reached the elevator)
-//   queued .. added            in_swq       (mq software queue, mq only)
+//   queued .. added            in_swq       (context staging FIFO, two or
+//                                            more dispatch contexts only)
 //   added .. dispatched        in_elevator  (scheduler-held)
 //   dev_start .. dev_done      on_device    (modeled service; falls back to
 //                                            the reported service time for

@@ -15,8 +15,11 @@
 //   elv_add/merge        src/block     request entered the elevator (or was
 //                                      back-merged into an earlier one)
 //   elv_dispatch         src/block     the elevator released it
-//   mq_queue             src/block     staged in a software queue (mq only)
-//   mq_issue             src/block     a hardware context issued it
+//   mq_queue             src/block     staged in a context FIFO (two or
+//                                      more dispatch contexts only)
+//   mq_issue             src/block     a context issued it to the device
+//                                      command queue (more than one
+//                                      command in flight)
 //   dev_start/done       src/device    the device began/finished service
 //   dev_flush            src/device    a cache-flush barrier retired
 //   blk_complete         src/block     completion fanned out to waiters

@@ -486,6 +486,92 @@ TEST(SplitDeadline, OwnWritebackEventuallyCleansDirtyData) {
   EXPECT_EQ(stack.cache().dirty_pages(), 0u);
 }
 
+// A 4 KB read with a 5 ms deadline arrives while a cold 32 MB scan keeps
+// the HDD busy, just before the own-writeback tick at 25 ms. The read is
+// queued in the block layer at the tick, so the tick must see deadline
+// pressure and leave the dirty file alone until the read completes.
+struct HiddenReadRun {
+  Nanos read_submitted = -1;
+  Nanos read_completed = -1;
+  int writes = 0;
+  int writes_while_read_pending = 0;
+};
+
+HiddenReadRun RunReadAcrossOwnWritebackTick(const BlockMqConfig& mq) {
+  Simulator sim;
+  StackConfig config;
+  config.mq = mq;
+  config.cache.writeback_daemon = false;
+  SplitDeadlineConfig sd;
+  sd.own_writeback = true;
+  CpuModel cpu(8);
+  StorageStack stack(config, &cpu,
+                     std::make_unique<ComposedScheduler>(SplitDeadlineSpec(sd)),
+                     nullptr);
+  stack.Start();
+  Process* writer = stack.NewProcess("writer");
+  Process* scanner = stack.NewProcess("scanner");
+  Process* reader = stack.NewProcess("reader");
+  reader->set_read_deadline(Msec(5));
+  int64_t big = stack.fs().CreatePreallocated("/big", 32 << 20);
+  int64_t small = stack.fs().CreatePreallocated("/small", 1 << 20);
+
+  HiddenReadRun run;
+  std::vector<Nanos> write_submits;
+  stack.block().add_completion_hook([&](const BlockRequest& req) {
+    if (req.is_write) {
+      write_submits.push_back(req.enqueue_time);
+    } else if (req.submitter == reader) {
+      run.read_submitted = req.enqueue_time;
+      run.read_completed = sim.Now();
+    }
+  });
+  auto dirty = [&]() -> Task<void> {
+    int64_t ino = co_await stack.kernel().Creat(*writer, "/dirty");
+    co_await stack.kernel().Write(*writer, ino, 0, 64 * kPageSize);
+  };
+  auto scan = [&]() -> Task<void> {
+    co_await stack.kernel().Read(*scanner, big, 0, 32 << 20);
+  };
+  auto probe = [&]() -> Task<void> {
+    co_await Delay(Msec(22));
+    co_await stack.kernel().Read(*reader, small, 0, 4096);
+  };
+  sim.Spawn(dirty());
+  sim.Spawn(scan());
+  sim.Spawn(probe());
+  sim.Run(Sec(2));
+  run.writes = static_cast<int>(write_submits.size());
+  for (Nanos t : write_submits) {
+    if (t >= run.read_submitted && t < run.read_completed) {
+      ++run.writes_while_read_pending;
+    }
+  }
+  return run;
+}
+
+void ExpectWritebackWaitsForRead(const BlockMqConfig& mq) {
+  HiddenReadRun run = RunReadAcrossOwnWritebackTick(mq);
+  // The scenario holds: the read was pending across the 25 ms tick, and
+  // writeback did run once it was done.
+  EXPECT_LT(run.read_submitted, Msec(25));
+  EXPECT_GT(run.read_completed, Msec(25));
+  EXPECT_GT(run.writes, 0);
+  EXPECT_EQ(run.writes_while_read_pending, 0);
+}
+
+TEST(SplitDeadline, OwnWritebackSeesReadQueuedBehindBusyDevice) {
+  ExpectWritebackWaitsForRead(BlockMqConfig());
+}
+
+TEST(SplitDeadline, OwnWritebackSeesReadQueuedBehindBusyDeviceMq11) {
+  BlockMqConfig mq;
+  mq.enabled = true;
+  mq.nr_hw_queues = 1;
+  mq.queue_depth = 1;
+  ExpectWritebackWaitsForRead(mq);
+}
+
 // ---------- Split no-op ----------
 
 TEST(SplitNoop, HooksFireWithoutChangingBehaviour) {
