@@ -104,50 +104,9 @@ void CheckCrash(const ExecResult& result, std::vector<OracleFailure>* out) {
   }
 }
 
-// The schedule fingerprint two byte-identical executions must share.
-void CompareFingerprint(const char* oracle, const std::string& label_a,
-                        const ExecResult& a, const std::string& label_b,
-                        const ExecResult& b, std::vector<OracleFailure>* out) {
-  size_t base = out->size();
-  auto diff_u64 = [&](const char* what, uint64_t va, uint64_t vb) {
-    if (va != vb) {
-      Add(out, base, oracle,
-          label_a + " vs " + label_b + ": " + what + " " +
-              std::to_string(va) + " != " + std::to_string(vb));
-    }
-  };
-  for (size_t i = 0; i < a.op_results.size() && i < b.op_results.size(); ++i) {
-    if (a.op_results[i] != b.op_results[i]) {
-      Add(out, base, oracle,
-          label_a + " vs " + label_b + ": op " + std::to_string(i) +
-              " result " + std::to_string(a.op_results[i]) + " != " +
-              std::to_string(b.op_results[i]));
-    }
-  }
-  for (size_t f = 0; f < a.file_sizes.size() && f < b.file_sizes.size(); ++f) {
-    if (a.file_sizes[f] != b.file_sizes[f]) {
-      Add(out, base, oracle,
-          label_a + " vs " + label_b + ": file " + std::to_string(f) +
-              " size " + std::to_string(a.file_sizes[f]) + " != " +
-              std::to_string(b.file_sizes[f]));
-    }
-  }
-  diff_u64("ops_done_at", static_cast<uint64_t>(a.ops_done_at),
-           static_cast<uint64_t>(b.ops_done_at));
-  diff_u64("submitted", a.submitted, b.submitted);
-  diff_u64("completed", a.completed, b.completed);
-  diff_u64("merged", a.merged, b.merged);
-  diff_u64("device_bytes_read", a.device_bytes_read, b.device_bytes_read);
-  diff_u64("device_bytes_written", a.device_bytes_written,
-           b.device_bytes_written);
-  diff_u64("device_busy", static_cast<uint64_t>(a.device_busy),
-           static_cast<uint64_t>(b.device_busy));
-  diff_u64("device_flushes", a.device_flushes, b.device_flushes);
-}
-
 // Content-only comparison: what the program observed and what ended up in
-// the files. Valid across schedulers (the fingerprint is not — schedulers
-// legitimately merge and order differently).
+// the files. Valid across schedulers, which legitimately merge and order
+// requests differently.
 void CompareContent(const std::string& label_a, const ExecResult& a,
                     const std::string& label_b, const ExecResult& b,
                     std::vector<OracleFailure>* out) {
@@ -197,19 +156,6 @@ std::vector<OracleFailure> EvaluateScenario(const Scenario& scenario,
   variant_opts.horizon = options.horizon;
   variant_opts.trace = false;
   variant_opts.crash_points = 0;
-
-  if (options.run_mq_equivalence) {
-    Scenario legacy = scenario;
-    legacy.stack.mq = false;
-    legacy.stack.hw_queues = 1;
-    legacy.stack.queue_depth = 1;
-    Scenario mq11 = legacy;
-    mq11.stack.mq = true;
-    ExecResult legacy_result = ExecuteScenario(legacy, variant_opts);
-    ExecResult mq_result = ExecuteScenario(mq11, variant_opts);
-    CompareFingerprint("mq-equiv", "legacy", legacy_result, "mq(1,1)",
-                       mq_result, &failures);
-  }
 
   // Cross-scheduler content differential: fault-free, un-mutated scenarios
   // only. Transient faults hit different requests under different dispatch

@@ -16,9 +16,6 @@
 //                   span's total block-layer latency.
 //   crash         — every sampled crash image passes journal replay and the
 //                   ordered-mode durability invariants (crash mode only).
-//   mq-equiv      — blk-mq with one hw queue of depth one is byte-identical
-//                   to the legacy path: same op results, file sizes, and
-//                   block/device fingerprint.
 //   content       — final file sizes and per-op results agree across all
 //                   eight schedulers (fault-free scenarios only: transient
 //                   faults make op results legitimately schedule-dependent).
@@ -44,8 +41,6 @@ struct OracleOptions {
   // The cross-scheduler content differential costs 7 extra runs; the
   // runner's smoke tier can turn it off.
   bool run_content_differential = true;
-  // The mq(1,1) == legacy differential costs 2 extra runs.
-  bool run_mq_equivalence = true;
 };
 
 // Runs the scenario under every applicable oracle. Deterministic: same

@@ -24,7 +24,6 @@ OracleOptions ReducedOptions(const std::string& oracle,
                              const OracleOptions& base) {
   OracleOptions out = base;
   out.run_content_differential = oracle == "content";
-  out.run_mq_equivalence = oracle == "mq-equiv";
   return out;
 }
 

@@ -16,7 +16,6 @@ class Shrinker {
     // only the oracle under minimization needs to stay live.
     oracle_opts_ = options.oracle;
     oracle_opts_.run_content_differential = oracle_ == "content";
-    oracle_opts_.run_mq_equivalence = oracle_ == "mq-equiv";
   }
 
   // True iff `candidate` still fails the target oracle. Callers adopt the

@@ -54,7 +54,6 @@ bool TraceToRepro(const ingest::ParsedTrace& trace,
   // ReplayRepro does) — record the detail from that same evaluation.
   OracleOptions reduced;
   reduced.run_content_differential = failure.oracle == "content";
-  reduced.run_mq_equivalence = failure.oracle == "mq-equiv";
   for (const OracleFailure& rf : EvaluateScenario(failure.scenario, reduced)) {
     if (rf.oracle == failure.oracle) {
       failure.detail = rf.detail;

@@ -371,8 +371,8 @@ TEST(Replay, SameTraceSameSeedIsByteIdentical) {
 }
 
 // Tier-1 gate: both committed sample traces replay under all 8 schedulers
-// with the full oracle battery (completion, conservation, spans, mq-equiv,
-// and the cross-scheduler content differential) finding nothing.
+// with the full oracle battery (completion, conservation, spans, and the
+// cross-scheduler content differential) finding nothing.
 TEST(Replay, CommittedSamplesPassAllOraclesUnderEveryScheduler) {
   for (const char* name : {"sample_blktrace.txt", "sample_msr.csv"}) {
     ParsedTrace trace;
@@ -424,7 +424,6 @@ TEST(TraceRepro, NegativeControlRecordsRealOracleAndMinimizes) {
   TraceReproOptions opt;
   opt.stack.control = NegativeControl::kDropCompletion;
   opt.oracle.run_content_differential = false;  // keep the test fast
-  opt.oracle.run_mq_equivalence = false;
   opt.max_shrink_evals = 40;
   opt.reconstruct.max_ops = 24;
   StressFailure repro;

@@ -40,7 +40,7 @@ int Usage() {
                "usage: stress_runner [--seeds N] [--seed-start N]\n"
                "                     [--budget SECONDS] [--out-dir DIR]\n"
                "                     [--jobs N] [--no-minimize]\n"
-               "                     [--no-content-diff] [--no-mq-equiv]\n"
+               "                     [--no-content-diff]\n"
                "                     [--control NAME] [--sched NAME]\n"
                "                     [--max-ops N] [--verbose]\n"
                "       stress_runner --replay FILE [--metrics TL.jsonl]\n"
@@ -115,8 +115,6 @@ int main(int argc, char** argv) {
       options.minimize = false;
     } else if (arg == "--no-content-diff") {
       options.oracle.run_content_differential = false;
-    } else if (arg == "--no-mq-equiv") {
-      options.oracle.run_mq_equivalence = false;
     } else if (arg == "--control") {
       const char* val = next();
       if (val == nullptr ||

@@ -64,13 +64,11 @@ int main(int argc, char** argv) {
       options.minimize = false;
     } else if (arg == "--no-content-diff") {
       options.oracle.run_content_differential = false;
-    } else if (arg == "--no-mq-equiv") {
-      options.oracle.run_mq_equivalence = false;
     } else if (arg == "--help" || arg == "-h") {
       std::printf("usage: trace2repro TRACE [--out FILE] [--seed N] "
                   "[--sched NAME] [--control NAME] [--max-ops N] "
                   "[--max-shrink-evals N] [--no-minimize] "
-                  "[--no-content-diff] [--no-mq-equiv]\n");
+                  "[--no-content-diff]\n");
       return 0;
     } else if (!arg.empty() && arg[0] == '-') {
       std::fprintf(stderr, "unknown flag %s (see --help)\n", arg.c_str());
