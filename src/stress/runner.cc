@@ -1,10 +1,11 @@
 #include "src/stress/runner.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
 #include <sstream>
 #include <thread>
 #include <utility>
@@ -159,6 +160,10 @@ SeedOutcome RunSeed(const StressOptions& options, uint64_t seed) {
   return out;
 }
 
+// Outcomes a parallel campaign holds at most: a worker does not start a
+// seed this far ahead of the next one to emit.
+constexpr int kReorderWindow = 1024;
+
 // Folds one completed seed into the report: repro file, log lines, failure
 // list. Only ever called from the coordinating thread, in seed order.
 void EmitOutcome(const StressOptions& options, SeedOutcome&& outcome,
@@ -214,48 +219,76 @@ StressReport RunStress(const StressOptions& options, std::ostream* log) {
       EmitOutcome(options, RunSeed(options, seed), &report, log);
     }
   } else {
-    // Workers claim seed indices with a fetch_add, so the set of claimed
-    // indices is always a contiguous prefix of the range and every claimed
-    // seed runs to completion. Each simulation is self-contained (the
-    // simulator, counters, and trace registries are thread_local), so seeds
-    // evaluate independently; after the join the outcomes are emitted
-    // strictly in seed order, making the log and repro files independent of
-    // thread interleaving. The wall-clock budget is checked at claim time,
-    // matching the sequential loop's "stop starting new seeds" semantics.
-    std::vector<SeedOutcome> outcomes(static_cast<size_t>(options.num_seeds));
-    std::atomic<int> next_index{0};
-    std::atomic<bool> exhausted{false};
+    // Workers claim seed indices in order, so the claimed indices are
+    // always a contiguous prefix of the range, and every claimed seed runs
+    // to completion. Each simulation is self-contained (the simulator,
+    // counters, and trace registries are thread_local), so seeds evaluate
+    // independently. A worker claims a seed only while it lies less than
+    // kReorderWindow seeds ahead of the next one to emit, and parks its
+    // outcome in that seed's window slot. This thread emits the outcomes
+    // strictly in seed order as the finished prefix grows, so the log and
+    // repro files do not depend on thread interleaving, and memory stays
+    // bounded whatever the requested range. The wall-clock budget is
+    // checked at claim time, matching the sequential loop's "stop starting
+    // new seeds" semantics.
+    std::vector<SeedOutcome> window(kReorderWindow);
+    std::mutex mu;
+    std::condition_variable claimable;  // the window moved
+    std::condition_variable finished;   // a seed finished or a worker left
+    int next_claim = 0;
+    int next_emit = 0;
+    int running = jobs;
+    bool exhausted = false;
     auto worker = [&]() {
+      std::unique_lock lock(mu);
       for (;;) {
+        claimable.wait(lock, [&] {
+          return next_claim >= options.num_seeds ||
+                 next_claim - next_emit < kReorderWindow;
+        });
+        if (next_claim >= options.num_seeds) {
+          break;
+        }
         if (budget_spent()) {
-          if (next_index.load(std::memory_order_relaxed) < options.num_seeds) {
-            exhausted.store(true, std::memory_order_relaxed);
-          }
-          return;
+          exhausted = true;
+          break;
         }
-        int i = next_index.fetch_add(1, std::memory_order_relaxed);
-        if (i >= options.num_seeds) {
-          return;
-        }
+        int i = next_claim++;
+        lock.unlock();
         uint64_t seed = options.seed_start + static_cast<uint64_t>(i);
-        outcomes[static_cast<size_t>(i)] = RunSeed(options, seed);
+        SeedOutcome outcome = RunSeed(options, seed);
+        lock.lock();
+        window[static_cast<size_t>(i % kReorderWindow)] = std::move(outcome);
+        finished.notify_one();
       }
+      --running;
+      finished.notify_one();
     };
     std::vector<std::thread> threads;
     threads.reserve(static_cast<size_t>(jobs));
     for (int t = 0; t < jobs; ++t) {
       threads.emplace_back(worker);
     }
+    std::unique_lock lock(mu);
+    for (;;) {
+      SeedOutcome& slot =
+          window[static_cast<size_t>(next_emit % kReorderWindow)];
+      finished.wait(lock, [&] { return slot.ran || running == 0; });
+      if (!slot.ran) {
+        break;  // every worker left and every claimed seed was emitted
+      }
+      SeedOutcome outcome = std::exchange(slot, SeedOutcome());
+      ++next_emit;
+      claimable.notify_all();
+      lock.unlock();
+      EmitOutcome(options, std::move(outcome), &report, log);
+      lock.lock();
+    }
+    lock.unlock();
     for (std::thread& t : threads) {
       t.join();
     }
-    report.budget_exhausted = exhausted.load(std::memory_order_relaxed);
-    for (SeedOutcome& outcome : outcomes) {
-      if (!outcome.ran) {
-        break;
-      }
-      EmitOutcome(options, std::move(outcome), &report, log);
-    }
+    report.budget_exhausted = exhausted;
   }
 
   if (log) {

@@ -37,10 +37,12 @@ struct StressOptions {
   // With jobs > 1, seeds are evaluated concurrently (each simulation is
   // self-contained: simulator, counters, and trace state are thread_local)
   // but the log lines, repro files, and failure list are still emitted in
-  // seed order, so the output over a given seed range is byte-identical to
-  // a sequential run. Only the wall-clock budget interacts with
-  // parallelism: it truncates the range at claim time, so a budgeted
-  // parallel campaign may cover more seeds than a sequential one.
+  // seed order, each as soon as every earlier seed is done, so the output
+  // over a given seed range is byte-identical to a sequential run. Workers
+  // stay within a fixed window of seeds ahead of the next one to emit, so
+  // memory does not grow with the range. Only the wall-clock budget
+  // interacts with parallelism: it truncates the range at claim time, so a
+  // budgeted parallel campaign may cover more seeds than a sequential one.
   int jobs = 1;
   GenOptions gen;
   OracleOptions oracle;

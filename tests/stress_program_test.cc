@@ -4,6 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cerrno>
+#include <chrono>
+#include <optional>
+#include <sstream>
+#include <string>
 
 #include "src/stress/executor.h"
 #include "src/stress/runner.h"
@@ -206,6 +210,63 @@ TEST(StressExecutor, ExecutionIsReproducible) {
   EXPECT_EQ(a.submitted, b.submitted);
   EXPECT_EQ(a.device_busy, b.device_busy);
   EXPECT_EQ(a.ops_done_at, b.ops_done_at);
+}
+
+// A log stream that remembers when its first byte arrived.
+class FirstWriteLog : public std::stringbuf {
+ public:
+  std::optional<std::chrono::steady_clock::time_point> first_write;
+
+ protected:
+  std::streamsize xsputn(const char* s, std::streamsize n) override {
+    Stamp();
+    return std::stringbuf::xsputn(s, n);
+  }
+  int_type overflow(int_type c) override {
+    Stamp();
+    return std::stringbuf::overflow(c);
+  }
+
+ private:
+  void Stamp() {
+    if (!first_write) {
+      first_write = std::chrono::steady_clock::now();
+    }
+  }
+};
+
+// A parallel campaign emits each seed's outcome once every earlier seed is
+// done, not after the last worker exits: the nightly's 10^8-seed range must
+// neither wait for its budget to end nor hold a result per requested seed
+// before it logs anything. Its output still equals a sequential run over
+// the seeds it completed.
+TEST(StressCampaign, ParallelRunLogsSeedsWhileRunning) {
+  StressOptions options;
+  options.num_seeds = 200000;
+  options.budget_seconds = 2;
+  options.jobs = 2;
+  options.verbose = true;
+  FirstWriteLog buf;
+  std::ostream log(&buf);
+  auto start = std::chrono::steady_clock::now();
+  StressReport report = RunStress(options, &log);
+  ASSERT_TRUE(buf.first_write.has_value());
+  EXPECT_LT(*buf.first_write - start, std::chrono::seconds(1));
+  EXPECT_TRUE(report.budget_exhausted);
+  ASSERT_GT(report.seeds_run, 0);
+  ASSERT_LT(report.seeds_run, options.num_seeds);
+
+  StressOptions sequential = options;
+  sequential.jobs = 1;
+  sequential.budget_seconds = 0;
+  sequential.num_seeds = report.seeds_run;
+  std::ostringstream expected;
+  StressReport reference = RunStress(sequential, &expected);
+  EXPECT_EQ(reference.seeds_run, report.seeds_run);
+  std::string want = expected.str();
+  ASSERT_FALSE(want.empty());
+  want.insert(want.size() - 1, " (budget exhausted)");
+  EXPECT_EQ(buf.str(), want);
 }
 
 }  // namespace
