@@ -115,16 +115,15 @@ Task<uint64_t> CowFsSim::CowFlush(Process& submitter, int64_t ino,
                    std::span(indices).subspan(run_begin, run_pages));
   };
 
-  for (size_t i = 0; i < indices.size(); ++i) {
-    uint64_t idx = indices[i];
-    Page* page = cache().Find(ino, idx);
-    if (page == nullptr || !page->dirty) {
-      continue;
-    }
-    if (std::optional<uint64_t> old = inode->extents.Lookup(idx)) {
+  // Each page's old location is read before the page is remapped, so the
+  // cursor only ever sees pages it has not passed.
+  ExtentMap::Cursor old_sectors(inode->extents);
+  cache().StartWriteback(ino, indices, [&](const Page& page) {
+    uint64_t idx = page.index;
+    if (std::optional<uint64_t> old = old_sectors.Sector(idx)) {
       MarkDead(*old);
     }
-    uint64_t sector = AllocateCowPage(*inode, idx, page->causes);
+    uint64_t sector = AllocateCowPage(*inode, idx, page.causes);
     inode->extents.Set(idx, sector);
     bool contiguous =
         run_pages > 0 &&
@@ -140,12 +139,11 @@ Task<uint64_t> CowFsSim::CowFlush(Process& submitter, int64_t ino,
     if (run_pages == 0) {
       run_sector = sector;
     }
-    run_causes.Merge(page->causes);
-    run_prelim += page->prelim_cost;
-    cache().MarkWritebackStarted(*page);
+    run_causes.Merge(page.causes);
+    run_prelim += page.prelim_cost;
     indices[run_begin + run_pages] = idx;
     ++run_pages;
-  }
+  });
   if (run_pages > 0) {
     submit_run();
   }

@@ -4,7 +4,7 @@
 
 namespace splitio {
 
-std::optional<uint64_t> ExtentMap::Lookup(uint64_t page) const {
+std::optional<ExtentMap::RunFrom> ExtentMap::LookupRun(uint64_t page) const {
   auto it = runs_.upper_bound(page);
   if (it == runs_.begin()) {
     return std::nullopt;
@@ -13,7 +13,7 @@ std::optional<uint64_t> ExtentMap::Lookup(uint64_t page) const {
   if (page >= End(*it)) {
     return std::nullopt;
   }
-  return SectorOf(*it, page);
+  return RunFrom{SectorOf(*it, page), End(*it) - page};
 }
 
 void ExtentMap::Map(uint64_t first, uint64_t pages, uint64_t sector) {

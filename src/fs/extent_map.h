@@ -18,8 +18,45 @@ class ExtentMap {
  public:
   static constexpr uint64_t kSectorsPerPage = kPageSize / kSectorSize;
 
+  // A mapped run seen from one of its pages: the page's sector and the
+  // number of pages from it to the end of the run.
+  struct RunFrom {
+    uint64_t sector;
+    uint64_t pages;
+  };
+  // The run from `page`, or nullopt if the page is unmapped (a hole).
+  std::optional<RunFrom> LookupRun(uint64_t page) const;
   // Sector of `page`, or nullopt if the page is unmapped (a hole).
-  std::optional<uint64_t> Lookup(uint64_t page) const;
+  std::optional<uint64_t> Lookup(uint64_t page) const {
+    std::optional<RunFrom> run = LookupRun(page);
+    return run ? std::optional<uint64_t>(run->sector) : std::nullopt;
+  }
+
+  // Resolves pages in ascending order with one LookupRun per run: it
+  // remembers the last run it found. It stays valid while the map changes
+  // only holes and pages it has passed.
+  class Cursor {
+   public:
+    explicit Cursor(const ExtentMap& map) : map_(map) {}
+    std::optional<uint64_t> Sector(uint64_t page) {
+      if (page - first_ >= pages_) {
+        std::optional<RunFrom> run = map_.LookupRun(page);
+        if (!run) {
+          return std::nullopt;
+        }
+        first_ = page;
+        pages_ = run->pages;
+        sector_ = run->sector;
+      }
+      return sector_ + (page - first_) * kSectorsPerPage;
+    }
+
+   private:
+    const ExtentMap& map_;
+    uint64_t first_ = 0;
+    uint64_t pages_ = 0;
+    uint64_t sector_ = 0;
+  };
 
   // Maps `pages` pages from `first` to consecutive sectors from `sector`,
   // replacing any earlier mapping of those pages (a copy-on-write remap

@@ -268,6 +268,12 @@ StrideEngine::Client& StrideEngine::Record(int32_t client) {
 }
 
 StrideEngine::Client& StrideEngine::Register(Process& proc) {
+  // Every pid_client_ write happens here and moves the memo to its pid, so
+  // a memo hit finds the binding and the weighted record already in place.
+  if (registered_ != nullptr && proc.pid() == registered_pid_ &&
+      proc.account() == registered_account_) {
+    return *registered_;
+  }
   int32_t id = ClientOf(proc);
   if (key_ == QueueKey::kAccount) {
     pid_client_[proc.pid()] = id;
@@ -277,6 +283,9 @@ StrideEngine::Client& StrideEngine::Register(Process& proc) {
     client.weighted = true;
     stride_.SetWeight(client, Weight(proc));
   }
+  registered_pid_ = proc.pid();
+  registered_account_ = proc.account();
+  registered_ = &client;
   return client;
 }
 
@@ -524,6 +533,18 @@ int TokenEngine::AccountOf(int32_t pid) const {
   return it == pid_account_.end() ? -1 : it->second;
 }
 
+void TokenEngine::Learn(const Process& proc) {
+  // Every pid_account_ write happens here and moves the memo to its pid.
+  if (learned_ && proc.pid() == learned_pid_ &&
+      proc.account() == learned_account_) {
+    return;
+  }
+  pid_account_[proc.pid()] = proc.account();
+  learned_ = true;
+  learned_pid_ = proc.pid();
+  learned_account_ = proc.account();
+}
+
 void TokenEngine::ChargeAccount(int account, double cost) {
   accounts_.Charge(account, cost);
 }
@@ -543,7 +564,7 @@ void TokenEngine::ChargeCauses(const CauseSet& causes, double cost) {
 }
 
 Task<void> TokenEngine::Throttle(Process& proc) {
-  pid_account_[proc.pid()] = proc.account();
+  Learn(proc);
   // Unknown accounts are always admissible (unthrottled); a known leaf
   // blocks while it — or its group budget — is in debt.
   while (!accounts_.CanAdmit(proc.account())) {
@@ -552,7 +573,7 @@ Task<void> TokenEngine::Throttle(Process& proc) {
 }
 
 void TokenEngine::BufferDirty(Process& dirtier, Page& page, bool was_dirty) {
-  pid_account_[dirtier.pid()] = dirtier.account();
+  Learn(dirtier);
   if (was_dirty) {
     // Overwrite of buffered data: no new disk work (the key advantage over
     // SCS for the "write-mem" workload — no charge at all).
@@ -562,13 +583,19 @@ void TokenEngine::BufferDirty(Process& dirtier, Page& page, bool was_dirty) {
   // within the file. Delayed allocation means on-disk locations are
   // unknown, so this is only a guess — revised later at the block level.
   double cost = kPageSize;
-  auto [it, inserted] = last_index_.try_emplace(page.ino, page.index);
-  if (!inserted) {
-    uint64_t last = it->second;
+  bool seen = true;
+  if (last_index_of_ == nullptr || last_index_ino_ != page.ino) {
+    auto [it, inserted] = last_index_.try_emplace(page.ino, page.index);
+    last_index_ino_ = page.ino;
+    last_index_of_ = &it->second;
+    seen = !inserted;
+  }
+  if (seen) {
+    uint64_t last = *last_index_of_;
     if (page.index != last + 1 && page.index != last) {
       cost += config_.seek_equivalent_bytes;
     }
-    it->second = page.index;
+    *last_index_of_ = page.index;
   }
   page.prelim_cost = cost;
   ChargeCauses(page.causes, cost);
@@ -584,7 +611,7 @@ void TokenEngine::BufferFree(Page& page) {
 
 bool TokenEngine::AdmitOrHold(BlockRequestPtr& req) {
   if (req->submitter != nullptr && !req->submitter->is_proxy()) {
-    pid_account_[req->submitter->pid()] = req->submitter->account();
+    Learn(*req->submitter);
   }
   if (!req->is_write) {
     // Block-level reads are throttled if (and only if) the account is in

@@ -179,7 +179,9 @@ class StrideEngine {
 
   // The client's record, created on first use.
   Client& Record(int32_t client);
-  // Learns `proc` (its weight; its client in kAccount mode).
+  // Learns `proc` (its weight; its client in kAccount mode). Remembers the
+  // last pid and account it resolved, and their client: the pages of one
+  // write register the same process one after another.
   Client& Register(Process& proc);
   void ChargeCauses(const BlockRequest& req);
   // Charges (or refunds, when negative) `amount` split across `causes`.
@@ -200,6 +202,10 @@ class StrideEngine {
   StrideState stride_;
   // pid -> client (kAccount mode only; kPid mode is the identity).
   std::unordered_map<int32_t, int32_t> pid_client_;
+  // Register's last process and its client (null until the first call).
+  int32_t registered_pid_ = 0;
+  int registered_account_ = 0;
+  Client* registered_ = nullptr;
   Condition pass_advanced_;
 
   // Block level: per-client read queues in client-id order (AFQ's dispatch
@@ -244,6 +250,10 @@ class TokenEngine {
 
  private:
   int AccountOf(int32_t pid) const;
+  // Records `proc`'s account in pid_account_, skipping the hash update
+  // when `proc` has the pid and account recorded last: the pages of one
+  // write come from one process.
+  void Learn(const Process& proc);
   void ChargeAccount(int account, double cost);
   // Splits `cost` across the accounts of `causes`.
   void ChargeCauses(const CauseSet& causes, double cost);
@@ -256,8 +266,15 @@ class TokenEngine {
   HierTokenAccounts accounts_;
   // pid -> account binding, learned from Process objects seen at hooks.
   std::unordered_map<int32_t, int> pid_account_;
-  // Last dirtied page index per inode (sequentiality guess).
+  // The binding Learn recorded last (none until its first call).
+  bool learned_ = false;
+  int32_t learned_pid_ = 0;
+  int learned_account_ = 0;
+  // Last dirtied page index per inode (sequentiality guess), and the entry
+  // of the inode dirtied last (entries are never erased).
   std::unordered_map<int64_t, uint64_t> last_index_;
+  int64_t last_index_ino_ = 0;
+  uint64_t* last_index_of_ = nullptr;
   std::deque<BlockRequestPtr> held_reads_;
   Event tokens_available_;
 };

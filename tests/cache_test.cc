@@ -1,7 +1,9 @@
 // Tests for the page cache: dirty tracking, hooks, throttling, eviction.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <functional>
+#include <numeric>
 #include <vector>
 
 #include "src/cache/page_cache.h"
@@ -243,8 +245,9 @@ TEST(PageCache, OldestDirtyInodeOrdering) {
 }
 
 // Once the pools, the FIFO and the first-dirty map have grown to the
-// working set, a dirty -> writeback -> done -> evict cycle (with one- and
-// two-cause tags, and a proxy writer) touches the heap no more.
+// working set, a dirty -> writeback -> done -> evict cycle of range calls
+// (with one- and two-cause tags, and a proxy writer) touches the heap no
+// more.
 TEST(PageCache, SteadyStateCycleIsAllocationFreeAfterWarmup) {
   Simulator sim;
   PageCache::Config config;
@@ -254,27 +257,21 @@ TEST(PageCache, SteadyStateCycleIsAllocationFreeAfterWarmup) {
   Process b(2, "b");
   Process proxy(3, "pdflush");
   CauseSet served{1, 2};
+  std::array<uint64_t, 64> indices;
+  std::iota(indices.begin(), indices.end(), 0);
   auto cycle = [&] {
     for (int64_t ino : {5, 6}) {
-      for (uint64_t i = 0; i < 64; ++i) {
-        cache.MarkDirty(a, ino, i);
-        if (i % 4 == 0) {
-          cache.MarkDirty(b, ino, i);
-        }
+      cache.MarkDirtyRange(a, ino, 0, 64);
+      for (uint64_t i = 0; i < 64; i += 4) {
+        cache.MarkDirtyRange(b, ino, i, 1);
       }
     }
     proxy.BeginProxy(served);
-    cache.MarkDirty(proxy, 7, 0);
+    cache.MarkDirtyRange(proxy, 7, 0, 1);
     proxy.EndProxy();
     for (int64_t ino : {5, 6, 7}) {
-      for (uint64_t i = 0; i < 64; ++i) {
-        if (Page* page = cache.Find(ino, i)) {
-          cache.MarkWritebackStarted(*page);
-        }
-      }
-      for (uint64_t i = 0; i < 64; ++i) {
-        cache.MarkWritebackDone(ino, i);
-      }
+      cache.StartWriteback(ino, indices, [](const Page&) {});
+      cache.EndWriteback(ino, 0, 64);
     }
   };
   cycle();
@@ -289,6 +286,33 @@ TEST(PageCache, SteadyStateCycleIsAllocationFreeAfterWarmup) {
   EXPECT_EQ(causes, 100u);
   EXPECT_EQ(cache.dirty_pages(), 0u);
   EXPECT_EQ(cache.pages_resident(), 24u);  // the rest was evicted
+}
+
+// Eviction keeps the leaf of the last page it examined across calls. A
+// leaf it found missing can be created again before the next eviction, so
+// it must look such a leaf up again rather than remember it as missing.
+TEST(PageCache, EvictionFindsALeafCreatedAfterFindingItMissing) {
+  Simulator sim;
+  PageCache::Config config;
+  config.clean_capacity_pages = 1;
+  config.writeback_daemon = false;
+  PageCache cache(config);
+  Process p(1, "a");
+  cache.InsertClean(1, 64);
+  cache.MarkWritebackStarted(cache.MarkDirty(p, 1, 64));
+  cache.MarkDirtyRange(p, 1, 0, 2);
+  std::array<uint64_t, 2> low = {0, 1};
+  cache.StartWriteback(1, low, [](const Page&) {});
+  // Page 64's I/O ends, so the FIFO holds it twice. The first entry evicts
+  // it, which frees its leaf; the second finds the leaf missing, and the
+  // FIFO runs dry while pages 0 and 1 keep the cache over capacity.
+  cache.MarkWritebackDone(1, 64);
+  ASSERT_EQ(cache.Find(1, 64), nullptr);
+  ASSERT_EQ(cache.pages_resident(), 2u);
+  // A read re-creates the leaf; over capacity, its page goes at once.
+  cache.InsertClean(1, 65);
+  EXPECT_EQ(cache.Find(1, 65), nullptr);
+  EXPECT_EQ(cache.pages_resident(), 2u);
 }
 
 TEST(TagMemory, AccountantTracksCauseSetFootprint) {
