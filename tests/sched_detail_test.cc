@@ -11,6 +11,7 @@
 #include "src/block/noop.h"
 #include "src/core/storage_stack.h"
 #include "src/sched/composed.h"
+#include "src/sched/engines.h"
 #include "src/sim/simulator.h"
 #include "src/workload/workloads.h"
 
@@ -284,6 +285,32 @@ TEST(SplitTokenDetail, AccountsAreIndependent) {
   EXPECT_LT(slow_mbps, 4.0);
   EXPECT_GT(fast_mbps, 5 * slow_mbps);
   EXPECT_GT(free_stats.MBps(0, Sec(20)), fast_mbps);  // unthrottled wins
+}
+
+// The token engine remembers the pid -> account binding it recorded last,
+// so the pages of one write skip the map update. A process that moves to
+// another account and back must still be charged to its current account:
+// every binding update, at every hook, moves that memo.
+TEST(SplitTokenDetail, ChargesTheCurrentAccountOfAProcessThatMoves) {
+  Simulator sim;
+  TokenEngine engine(SplitTokenConfig{});
+  engine.SetAccountLimit(1, 1e6);
+  engine.SetAccountLimit(2, 1e6);
+  Process p(7, "p");
+  Page first;
+  first.ino = 1;
+  first.causes = CauseSet(7);
+  Page next = first;
+  next.index = 1;
+  p.set_account(1);
+  engine.BufferDirty(p, first, /*was_dirty=*/false);
+  p.set_account(2);
+  BlockRequestPtr req = MakeReq(0, kPageSize, /*write=*/true, &p);
+  EXPECT_TRUE(engine.AdmitOrHold(req));  // binds pid 7 to account 2
+  p.set_account(1);
+  engine.BufferDirty(p, next, /*was_dirty=*/false);
+  EXPECT_EQ(engine.accounts().LeafCharged(1), 2.0 * kPageSize);
+  EXPECT_EQ(engine.accounts().LeafCharged(2), 0.0);
 }
 
 }  // namespace
