@@ -100,7 +100,7 @@ Task<int64_t> ShardedDfs::Call(int w, RpcArgs args, uint64_t wire_bytes) {
   // conservative slack that lets the destination shard run ahead.
   const Nanos deliver = sim.Now() + config_.rpc_latency +
                         TransferTime(wire_bytes, config_.network_bw);
-  group_->Send(workers_[static_cast<size_t>(w)]->shard, deliver,
+  group_->Send(kClientNode, workers_[static_cast<size_t>(w)]->shard, deliver,
                [this, w, id, args]() {
                  Simulator::current().Spawn(ServeAndReply(w, id, args));
                });
@@ -140,7 +140,7 @@ Task<void> ShardedDfs::ServeAndReply(int w, uint64_t rpc_id, RpcArgs args) {
   }
   const Nanos deliver =
       Simulator::current().Now() + config_.rpc_latency;
-  group_->Send(0, deliver, [this, rpc_id, value]() {
+  group_->Send(NodeOfWorker(w), 0, deliver, [this, rpc_id, value]() {
     // Executes on shard 0: resolve the pending call. The latch wakes the
     // client through the client shard's own event queue.
     auto it = pending_.find(rpc_id);

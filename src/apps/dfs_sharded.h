@@ -1,18 +1,22 @@
-// ShardedDfs — the DfsCluster workload (§7.3) decomposed for the sharded
-// parallel simulator (src/sim/shard.h).
+// ShardedDfs — HDFS-like distributed file system model (§7.3) on the
+// sharded parallel simulator (src/sim/shard.h).
 //
+// One NameNode (placement only) and N worker machines. Clients write files
+// in fixed blocks; each block is replicated to a pipeline of three workers.
 // Shard 0 hosts the clients and the NameNode placement logic; every worker
 // machine — a complete StorageStack with its own CpuModel and scheduler —
 // lives on a worker shard (`workers_per_shard` machines per shard, 1 by
-// default, i.e. one DES per node). The client↔worker protocol of DfsCluster
-// becomes explicit RPC messages across shard boundaries: a request's network
-// latency (fixed RPC latency + wire transfer time) is exactly the
+// default, i.e. one DES per node). Clients reach workers through explicit
+// creat/write/fsync RPC messages across shard boundaries: a request's
+// network latency (fixed RPC latency + wire transfer time) is exactly the
 // conservative lookahead slack the shard runtime synchronizes on, so the
-// cluster parallelizes along its real network edges.
+// cluster parallelizes along its real network edges. bench_fig21_hdfs runs
+// the paper's 7-worker figure on it, bench_hdfs_sharded 100-1000 workers.
 //
-// As in DfsCluster, the request carries the *account* to bill, and the
-// worker's server process adopts it — the paper's cross-machine tag
-// propagation, now across simulator shards too.
+// The request carries the *account* to bill, and the worker's server
+// process adopts it, so a worker's local Split-Token charges the right
+// tenant even though the I/O is performed by the worker's server threads —
+// the paper's cross-machine tag propagation, across simulator shards too.
 #ifndef SRC_APPS_DFS_SHARDED_H_
 #define SRC_APPS_DFS_SHARDED_H_
 
@@ -35,9 +39,9 @@ class ShardedDfs {
  public:
   struct Config {
     int workers = 7;
-    // Worker machines per shard. 1 = one DES per node (the default); larger
-    // values change the shard assignment — and therefore the schedule — so
-    // the determinism test compares pool sizes at *fixed* grouping.
+    // Worker machines per shard. 1 = one DES per node (the default). The
+    // simulated timeline is the same for every grouping; only allocation
+    // counts (shard bookkeeping) depend on it.
     int workers_per_shard = 1;
     int replication = 3;
     uint64_t block_bytes = 16ULL << 20;
@@ -109,6 +113,12 @@ class ShardedDfs {
   int ShardOfWorker(int w) const {
     return 1 + w / config_.workers_per_shard;
   }
+
+  // Sending nodes for ShardGroup::Send: the client side is node 0 and worker
+  // `w` is node 1 + w, whatever shard hosts it, so same-time replies reach
+  // the clients in the same order for every grouping.
+  static constexpr int kClientNode = 0;
+  static int NodeOfWorker(int w) { return 1 + w; }
 
   // Client side (shard 0): sends the request to worker `w`'s shard with
   // `wire_bytes` of payload on the wire, parks on the pending latch, and

@@ -116,7 +116,8 @@ void ShardGroup::Setup(int i, const std::function<void()>& fn) {
   fn();
 }
 
-void ShardGroup::Send(int dst, Nanos deliver_time, std::function<void()> fn) {
+void ShardGroup::Send(int node, int dst, Nanos deliver_time,
+                      std::function<void()> fn) {
   Shard* src = g_current_shard;
   assert(src != nullptr && src->group_ == this && "Send outside a shard");
   assert(dst >= 0 && dst < size());
@@ -127,8 +128,8 @@ void ShardGroup::Send(int dst, Nanos deliver_time, std::function<void()> fn) {
     // the destination's merge point so time still never runs backwards.
     ++src->violations_;
   }
-  src->outbox_.push_back(
-      Shard::Envelope{dst, deliver_time, src->send_seq_++, std::move(fn)});
+  src->outbox_.push_back(Shard::Envelope{node, dst, deliver_time,
+                                         src->send_seq_++, std::move(fn)});
 }
 
 void ShardGroup::RunSlice(Shard& s, Nanos horizon) {
@@ -149,20 +150,25 @@ Nanos ShardGroup::NextEventTime() const {
 
 void ShardGroup::Exchange(ShardRunStats* rs) {
   // Deterministic merge: gather every outbox's envelopes, sort them by
-  // (destination, deliver_time, source shard, source seq), and inject each
+  // (destination, deliver_time, sending node, source seq), and inject each
   // destination's run inside one context, destinations in shard-id order.
   // The injection order fixes the (time, seq) positions the messages occupy
   // in the destination event queue, so the merged schedule is a pure
   // function of the messages — independent of pool size and thread timing.
+  // Keying ties on the sending node rather than on its shard keeps the
+  // order the same for any grouping of nodes onto shards: a node's own
+  // sends stay in send order (one shard, increasing seq), and different
+  // nodes' same-time sends are ordered by node id.
   inbox_.clear();
-  for (int src = 0; src < size(); ++src) {
-    for (auto& env : shards_[static_cast<size_t>(src)]->outbox_) {
-      inbox_.push_back(Keyed{env.dst, env.deliver_time, src, env.seq, &env.fn});
+  for (auto& s : shards_) {
+    for (auto& env : s->outbox_) {
+      inbox_.push_back(
+          Keyed{env.dst, env.deliver_time, env.node, env.seq, &env.fn});
     }
   }
   std::sort(inbox_.begin(), inbox_.end(), [](const Keyed& a, const Keyed& b) {
-    return std::tie(a.dst, a.deliver_time, a.src, a.seq) <
-           std::tie(b.dst, b.deliver_time, b.src, b.seq);
+    return std::tie(a.dst, a.deliver_time, a.node, a.seq) <
+           std::tie(b.dst, b.deliver_time, b.node, b.seq);
   });
   for (size_t i = 0; i < inbox_.size();) {
     Shard& s = shard(inbox_[i].dst);

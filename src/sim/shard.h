@@ -20,7 +20,7 @@
 //   2. barrier;
 //   3. the coordinator drains all outboxes and injects each message into
 //      its destination simulator at the message's delivery timestamp, in
-//      (delivery time, source shard id, per-source sequence) order.
+//      (delivery time, sending node, per-source sequence) order.
 //
 // Determinism: within an epoch a shard's trajectory depends only on its own
 // state and its already-injected inbox, so thread scheduling cannot change
@@ -28,7 +28,10 @@
 // per-slice counter deltas are folded in shard-id order. A parallel run is
 // therefore byte-identical to the sequential (threads=1) run for a fixed
 // shard assignment — tables, counters, and BENCHJSON alike (pinned by the
-// shard_determinism ctest).
+// shard_determinism ctest). Because the merge orders same-time messages by
+// the node that sent them, not by the shard hosting that node, a scenario
+// whose nodes share no state also simulates the same timeline for any
+// grouping of nodes onto shards (allocation counts aside).
 //
 // A send whose delivery timestamp violates the lookahead contract (i.e.
 // would land inside the current epoch of another shard) is counted as a
@@ -70,6 +73,7 @@ class Shard {
   friend class ShardContext;
 
   struct Envelope {
+    int node;  // sending node (merge tie-break before seq)
     int dst;
     Nanos deliver_time;
     uint64_t seq;  // per-source send sequence (deterministic tie-break)
@@ -128,14 +132,16 @@ class ShardGroup {
   // coroutines) before Run.
   void Setup(int i, const std::function<void()>& fn);
 
-  // Sends a cross-shard message: `fn` executes inside shard `dst` at
-  // simulated time `deliver_time` (it may spawn coroutines, set latches,
-  // etc.). Must be called while executing inside a shard of this group;
-  // `deliver_time` must be >= Now() + lookahead or the send is counted as
-  // a causality violation (still delivered, never reordered backwards).
-  // Sending to the caller's own shard is allowed and goes through the same
-  // deterministic barrier exchange.
-  void Send(int dst, Nanos deliver_time, std::function<void()> fn);
+  // Sends a cross-shard message from scenario node `node` (the machine
+  // whose code is sending; a node lives on one shard): `fn` executes inside
+  // shard `dst` at simulated time `deliver_time` (it may spawn coroutines,
+  // set latches, etc.). Must be called while executing inside a shard of
+  // this group; `deliver_time` must be >= Now() + lookahead or the send is
+  // counted as a causality violation (still delivered, never reordered
+  // backwards). Sending to the caller's own shard is allowed and goes
+  // through the same deterministic barrier exchange. Same-time messages to
+  // one shard execute in (node, send order) order wherever the nodes live.
+  void Send(int node, int dst, Nanos deliver_time, std::function<void()> fn);
 
   // The shard currently executing on this thread (inside Setup, a slice,
   // or a delivered message), or null.
@@ -161,7 +167,7 @@ class ShardGroup {
   Nanos NextEventTime() const;
 
   // Barrier phase: drain every outbox into the destination simulators in
-  // (deliver_time, src shard, src seq) order per destination, in
+  // (deliver_time, sending node, src seq) order per destination, in
   // O(shards + messages log messages). Coordinator thread only.
   void Exchange(ShardRunStats* rs);
 
@@ -169,7 +175,7 @@ class ShardGroup {
   struct Keyed {
     int dst;
     Nanos deliver_time;
-    int src;
+    int node;
     uint64_t seq;
     std::function<void()>* fn;
   };

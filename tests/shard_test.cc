@@ -2,7 +2,8 @@
 // protocol must deliver cross-shard messages at their timestamps in a
 // deterministic order, count causality violations, fold per-shard counters
 // exactly — and, above all, produce a byte-identical physical timeline for
-// every thread-pool size at a fixed shard assignment. The matrix test
+// every thread-pool size at a fixed shard assignment, and the same timeline
+// for any grouping of the cluster's nodes onto shards. The matrix test
 // sweeps shard groupings x schedulers x seeds on the sharded DFS cluster;
 // the check_shard_determinism ctest repeats the comparison over full
 // process output (tables + BENCHJSON) through the bench binary.
@@ -28,7 +29,7 @@ TEST(ShardGroup, DeliversSetupSendsWithoutAnyLocalEvents) {
   bool delivered = false;
   Nanos at = -1;
   group.Setup(0, [&]() {
-    group.Send(1, Usec(25), [&]() {
+    group.Send(/*node=*/0, 1, Usec(25), [&]() {
       delivered = true;
       at = Simulator::current().Now();
     });
@@ -65,9 +66,9 @@ TEST(ShardGroup, PingPongIdenticalAcrossPoolSizes) {
         return;
       }
       int self = ShardGroup::Current()->id();
-      group.Send(1 - self, Simulator::current().Now() + kHop, bounce);
+      group.Send(self, 1 - self, Simulator::current().Now() + kHop, bounce);
     };
-    group.Setup(0, [&]() { group.Send(1, kHop, bounce); });
+    group.Setup(0, [&]() { group.Send(0, 1, kHop, bounce); });
     ShardRunStats rs = group.Run();
     ASSERT_EQ(arrivals.size(), static_cast<size_t>(kRounds));
     for (int i = 0; i < kRounds; ++i) {
@@ -86,11 +87,11 @@ TEST(ShardGroup, PingPongIdenticalAcrossPoolSizes) {
   }
 }
 
-// Same-epoch ties: messages from different source shards landing at the
-// same destination timestamp must execute in (deliver_time, src shard,
-// src seq) order, not pool-arrival order — also when every source
-// interleaves sends to several destinations (itself included) at
-// out-of-order times.
+// Same-epoch ties: messages from different source shards (one node each,
+// node id = shard id) landing at the same destination timestamp must
+// execute in (deliver_time, sending node, src seq) order, not pool-arrival
+// order — also when every source interleaves sends to several destinations
+// (itself included) at out-of-order times.
 TEST(ShardGroup, TieBreakBySourceShardThenSeq) {
   struct Msg {
     int dst;
@@ -111,7 +112,7 @@ TEST(ShardGroup, TieBreakBySourceShardThenSeq) {
       group.Setup(src, [&, src]() {
         for (int k = 0; k < 6; ++k) {
           const Msg& s = kSends[k];
-          group.Send(s.dst, s.at, [&log, s, label = src * 100 + k]() {
+          group.Send(src, s.dst, s.at, [&log, s, label = src * 100 + k]() {
             EXPECT_EQ(Simulator::current().Now(), s.at);
             log[static_cast<size_t>(s.dst)].push_back(label);
           });
@@ -128,14 +129,42 @@ TEST(ShardGroup, TieBreakBySourceShardThenSeq) {
   }
 }
 
+// Ties are broken by the sending node, not by the shard hosting it: two
+// nodes sending to shard 0 at the same time are delivered in node order
+// whether they live on separate shards or share one, and whatever order
+// the shared shard sent them in.
+TEST(ShardGroup, TieBreakBySendingNodeWhateverItsShard) {
+  for (bool shared : {false, true}) {
+    ShardGroup::Config gc;
+    gc.shards = 3;
+    gc.lookahead = Usec(10);
+    ShardGroup group(gc);
+    std::vector<int> log;
+    auto send = [&](int node) {
+      group.Send(node, 0, Usec(10), [&log, node]() { log.push_back(node); });
+    };
+    if (shared) {
+      group.Setup(1, [&]() {
+        send(5);
+        send(4);
+      });
+    } else {
+      group.Setup(1, [&]() { send(5); });
+      group.Setup(2, [&]() { send(4); });
+    }
+    group.Run();
+    EXPECT_EQ(log, (std::vector<int>{4, 5})) << "shared=" << shared;
+  }
+}
+
 TEST(ShardGroup, CountsCausalityViolations) {
   ShardGroup::Config gc;
   gc.shards = 2;
   gc.lookahead = Usec(100);
   ShardGroup group(gc);
   group.Setup(0, [&]() {
-    group.Send(1, Usec(99), [] {});   // below the lookahead: violation
-    group.Send(1, Usec(100), [] {});  // exactly at the bound: legal
+    group.Send(0, 1, Usec(99), [] {});   // below the lookahead: violation
+    group.Send(0, 1, Usec(100), [] {});  // exactly at the bound: legal
   });
   ShardRunStats rs = group.Run();
   EXPECT_EQ(rs.messages, 2u);
@@ -159,29 +188,26 @@ struct Fingerprint {
   }
 };
 
-Fingerprint RunCluster(SchedKind sched, uint64_t seed, int workers_per_shard,
-                       int threads, Nanos lookahead_override = 0) {
+// Runs `clients_per_group` clients in the throttled account 1 (capped at
+// 8 MB/s per worker) and as many unthrottled ones until `end`.
+Fingerprint RunDfs(const ShardedDfs::Config& config, int clients_per_group,
+                   Nanos end) {
   Counters before = counters();
   Fingerprint fp;
   {
-    ShardedDfs::Config config;
-    config.workers = 9;
-    config.workers_per_shard = workers_per_shard;
-    config.block_bytes = 2ULL << 20;
-    config.sched = sched;
-    config.seed = seed;
-    config.threads = threads;
-    config.lookahead_override = lookahead_override;
     ShardedDfs cluster(config);
     cluster.Start();
     cluster.SetAccountLimit(1, 8.0 * 1024 * 1024);
-    constexpr Nanos kEnd = Msec(150);
-    std::vector<WorkloadStats> stats(4);
-    cluster.AddClient(0, /*account=*/1, kEnd, &stats[0]);
-    cluster.AddClient(1, /*account=*/1, kEnd, &stats[1]);
-    cluster.AddClient(100, /*account=*/-1, kEnd, &stats[2]);
-    cluster.AddClient(101, /*account=*/-1, kEnd, &stats[3]);
-    ShardRunStats rs = cluster.Run(kEnd);
+    const auto n = static_cast<size_t>(clients_per_group);
+    std::vector<WorkloadStats> stats(2 * n);
+    for (size_t i = 0; i < n; ++i) {
+      cluster.AddClient(static_cast<int>(i), /*account=*/1, end, &stats[i]);
+    }
+    for (size_t i = 0; i < n; ++i) {
+      cluster.AddClient(100 + static_cast<int>(i), /*account=*/-1, end,
+                        &stats[n + i]);
+    }
+    ShardRunStats rs = cluster.Run(end);
     for (const WorkloadStats& s : stats) {
       fp.bytes.push_back(s.bytes);
       fp.ops.push_back(s.ops);
@@ -191,6 +217,19 @@ Fingerprint RunCluster(SchedKind sched, uint64_t seed, int workers_per_shard,
   }
   fp.delta = counters().Delta(before);
   return fp;
+}
+
+Fingerprint RunCluster(SchedKind sched, uint64_t seed, int workers_per_shard,
+                       int threads, Nanos lookahead_override = 0) {
+  ShardedDfs::Config config;
+  config.workers = 9;
+  config.workers_per_shard = workers_per_shard;
+  config.block_bytes = 2ULL << 20;
+  config.sched = sched;
+  config.seed = seed;
+  config.threads = threads;
+  config.lookahead_override = lookahead_override;
+  return RunDfs(config, /*clients_per_group=*/2, Msec(150));
 }
 
 // The headline guarantee: at a fixed shard assignment, the sharded DFS
@@ -216,6 +255,33 @@ TEST(ShardedDfs, ParallelMatchesSequentialAcrossGroupingsSchedsSeeds) {
       }
     }
   }
+}
+
+// Regression: the epoch exchange used to order same-time messages by the
+// shard hosting the sender. Replies from workers on separate shards then
+// reached the clients in shard order, replies from workers sharing a shard
+// in send order, so the client shard resumed same-time callers differently
+// and the timeline depended on the grouping. Workers share no state, so
+// every grouping must simulate the same timeline; only allocation counts
+// (shard objects, outboxes) may differ.
+TEST(ShardedDfs, TimelineIndependentOfWorkerGrouping) {
+  ShardedDfs::Config config;
+  config.workers = 3;
+  config.block_bytes = 4ULL << 20;
+  config.sched = SchedKind::kSplitToken;
+  Fingerprint spread = RunDfs(config, /*clients_per_group=*/8, Sec(2));
+  config.workers_per_shard = 3;
+  Fingerprint shared = RunDfs(config, /*clients_per_group=*/8, Sec(2));
+  EXPECT_EQ(spread.violations, 0u);
+  EXPECT_EQ(shared.violations, 0u);
+  EXPECT_EQ(shared.bytes, spread.bytes);
+  EXPECT_EQ(shared.ops, spread.ops);
+  EXPECT_EQ(shared.events, spread.events);
+  shared.delta.allocs = spread.delta.allocs;
+#define SPLITIO_EXPECT_SAME_COUNTER(name) \
+  EXPECT_EQ(shared.delta.name, spread.delta.name) << #name;
+  SPLITIO_COUNTER_FIELDS(SPLITIO_EXPECT_SAME_COUNTER)
+#undef SPLITIO_EXPECT_SAME_COUNTER
 }
 
 // Re-running the same configuration twice in one process must also agree —
