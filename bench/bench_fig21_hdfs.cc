@@ -8,13 +8,13 @@
 // blocks, placement imbalance strands tokens on idle workers, so the group
 // falls short; 16 MB blocks spread load and approach the bound.
 //
-// bench_hdfs_sharded runs this scenario's shape at 100–1000 workers on the
-// sharded parallel simulator (one DES per node), byte-identical to the
-// sequential engine; this bench stays on the single-simulator DfsCluster
-// to reproduce the paper figure exactly.
+// The cluster is ShardedDfs at its default placement: one DES per worker,
+// the clients on shard 0, creat/write/fsync RPCs with a 50 us latency and
+// the account tag riding every request. bench_hdfs_sharded runs the same
+// model at 100-1000 workers.
 #include "bench/common/flags.h"
 #include "bench/common/harness.h"
-#include "src/apps/dfs.h"
+#include "src/apps/dfs_sharded.h"
 
 namespace splitio {
 namespace {
@@ -29,22 +29,21 @@ Row Run(double cap_mbps, uint64_t block_bytes) {
   StackCounterScope scope(std::string(SchedName(SchedKind::kSplitToken)) +
                           "/dfs-" + HumanBytes(block_bytes) + "/cap" +
                           std::to_string(static_cast<int>(cap_mbps)));
-  Simulator sim;
-  DfsCluster::Config config;
+  ShardedDfs::Config config;
   config.block_bytes = block_bytes;
-  DfsCluster cluster(config);
+  ShardedDfs cluster(config);
   cluster.Start();
   cluster.SetAccountLimit(1, cap_mbps * 1024 * 1024);
   constexpr Nanos kEnd = Sec(60);
   std::vector<WorkloadStats> throttled(4);
   std::vector<WorkloadStats> unthrottled(4);
   for (int i = 0; i < 4; ++i) {
-    sim.Spawn(cluster.ClientWriter(i, /*account=*/1, kEnd,
-                                   &throttled[static_cast<size_t>(i)]));
-    sim.Spawn(cluster.ClientWriter(100 + i, /*account=*/-1, kEnd,
-                                   &unthrottled[static_cast<size_t>(i)]));
+    cluster.AddClient(i, /*account=*/1, kEnd,
+                      &throttled[static_cast<size_t>(i)]);
+    cluster.AddClient(100 + i, /*account=*/-1, kEnd,
+                      &unthrottled[static_cast<size_t>(i)]);
   }
-  sim.Run(kEnd);
+  cluster.Run(kEnd);
   auto sum = [&](const std::vector<WorkloadStats>& group) {
     uint64_t bytes = 0;
     for (const auto& s : group) {

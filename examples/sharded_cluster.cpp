@@ -1,8 +1,10 @@
-// Example: the HDFS-like cluster on the sharded parallel simulator.
+// Example: distributed isolation with Split-Token on an HDFS-like cluster.
 //
-// Same shape as example_hdfs_cluster — capped "dev" writers vs unthrottled
-// "prod" writers over replicated block pipelines — but every worker machine
-// is its own discrete-event simulator (DESIGN.md §11). The shards run on a
+// Capped "dev" writers vs unthrottled "prod" writers over 3x replicated
+// block pipelines. Account tags travel in the client-to-worker RPCs, so
+// each worker's local Split-Token bills the right tenant even though the
+// I/O is performed by server threads. Every worker machine is its own
+// discrete-event simulator (DESIGN.md §11). The shards run on a
 // thread pool (threads = 0 → all cores) synchronized by conservative
 // lookahead equal to the RPC latency, and the result is byte-identical to
 // the sequential run: re-run with SPLITIO_EXAMPLE_THREADS=1 vs =4 and diff

@@ -1,9 +1,9 @@
-// Tests for the application models: WalDb, PgSim, VmGuest, DfsCluster.
+// Tests for the application models: WalDb, PgSim, VmGuest, ShardedDfs.
 #include <gtest/gtest.h>
 
 #include <memory>
 
-#include "src/apps/dfs.h"
+#include "src/apps/dfs_sharded.h"
 #include "src/apps/pgsim.h"
 #include "src/apps/vm_guest.h"
 #include "src/apps/waldb.h"
@@ -143,43 +143,40 @@ TEST(VmGuestApp, GuestDirtyRatioBoundsBuffering) {
             32u << 20);
 }
 
-TEST(DfsClusterApp, ReplicatesBlocksAcrossWorkers) {
-  Simulator sim;
-  DfsCluster::Config config;
+TEST(ShardedDfsApp, ReplicatesBlocksAcrossWorkers) {
+  ShardedDfs::Config config;
   config.workers = 4;
   config.replication = 3;
   config.block_bytes = 8 << 20;
-  DfsCluster cluster(config);
-  cluster.Start();
+  Counters before = counters();
   WorkloadStats stats;
-  sim.Spawn(cluster.ClientWriter(/*client=*/0, /*account=*/-1, Sec(20),
-                                 &stats));
-  sim.Run(Sec(20));
-  EXPECT_GT(stats.bytes, 8u << 20);  // at least one block written
-  // Replication: total bytes buffered/written across workers ~= 3x the
-  // application bytes.
-  uint64_t cluster_bytes = 0;
-  for (int w = 0; w < cluster.workers(); ++w) {
-    cluster_bytes += cluster.worker(w).device().total_bytes_written() +
-                     cluster.worker(w).cache().dirty_bytes() +
-                     cluster.worker(w).cache().writeback_pages() * kPageSize;
+  {
+    ShardedDfs cluster(config);
+    cluster.Start();
+    cluster.AddClient(/*client_id=*/0, /*account=*/-1, Sec(20), &stats);
+    cluster.Run(Sec(20));
   }
-  EXPECT_GT(cluster_bytes, 2 * stats.bytes);
+  EXPECT_GT(stats.bytes, 8u << 20);  // at least one block written
+  // Replication: the workers' page caches take 3x the application bytes,
+  // plus at most the chunk whose pipeline the horizon cut short.
+  const uint64_t worker_bytes =
+      counters().Delta(before).pages_dirtied * kPageSize;
+  EXPECT_GE(worker_bytes, 3 * stats.bytes);
+  EXPECT_LE(worker_bytes, 3 * (stats.bytes + config.network_chunk));
 }
 
-TEST(DfsClusterApp, ThrottledAccountIsSlower) {
-  Simulator sim;
-  DfsCluster::Config config;
+TEST(ShardedDfsApp, ThrottledAccountIsSlower) {
+  ShardedDfs::Config config;
   config.workers = 4;
   config.block_bytes = 8 << 20;
-  DfsCluster cluster(config);
+  ShardedDfs cluster(config);
   cluster.Start();
   cluster.SetAccountLimit(1, 2.0 * 1024 * 1024);
   WorkloadStats fast;
   WorkloadStats slow;
-  sim.Spawn(cluster.ClientWriter(0, -1, Sec(30), &fast));
-  sim.Spawn(cluster.ClientWriter(1, 1, Sec(30), &slow));
-  sim.Run(Sec(30));
+  cluster.AddClient(0, -1, Sec(30), &fast);
+  cluster.AddClient(1, 1, Sec(30), &slow);
+  cluster.Run(Sec(30));
   EXPECT_GT(fast.bytes, 2 * slow.bytes);
 }
 
