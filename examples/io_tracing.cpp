@@ -1,18 +1,21 @@
-// Example: cross-layer I/O attribution with the trace recorder.
+// Example: cross-layer I/O attribution with request spans.
 //
-// Two tenants and the kernel's own proxy tasks generate I/O; the IoTracer
-// records every completed block request with its cause set. The per-cause
-// summary shows how split-level tagging attributes even journal commits and
-// writeback to the applications that caused them — the observability the
-// block layer alone cannot provide.
+// Two tenants and the kernel's own proxy tasks generate I/O; a TraceSink
+// records the stack's events and BuildSpans folds them into one span per
+// completed block request, with its cause set. The per-cause split shows
+// how split-level tagging attributes even journal commits and writeback to
+// the applications that caused them — the observability the block layer
+// alone cannot provide.
 //
-//   ./build/examples/example_io_tracing  (also writes /tmp/splitio_trace.csv)
+//   ./build/examples/example_io_tracing  (also writes splitio_spans.jsonl
+//                                         in the working directory)
 #include <cstdio>
 #include <fstream>
 #include <memory>
 
 #include "src/core/storage_stack.h"
-#include "src/device/trace.h"
+#include "src/obs/span.h"
+#include "src/obs/trace_sink.h"
 #include "src/sched/composed.h"
 #include "src/sim/simulator.h"
 #include "src/workload/workloads.h"
@@ -26,8 +29,8 @@ int main() {
   auto sched = std::make_unique<ComposedScheduler>(SplitTokenSpec());
   sched->SetAccountLimit(1, 8.0 * 1024 * 1024);
   StorageStack stack(config, &cpu, std::move(sched), nullptr);
-  IoTracer tracer;
-  tracer.Attach(&stack.block());
+  obs::TraceSink sink;
+  sink.Attach();
   stack.Start();
 
   Process* alice = stack.NewProcess("alice");
@@ -51,24 +54,24 @@ int main() {
   sim.Spawn(alice_work());
   sim.Spawn(bob_work());
   sim.Run(kEnd);
+  sink.Detach();
 
-  std::printf("Recorded %zu block-level completions; workload sequentiality "
-              "at the device: %.0f%%\n\n",
-              tracer.entries().size(), 100 * tracer.SequentialFraction());
+  std::vector<obs::RequestSpan> spans = obs::BuildSpans(sink.events());
+  std::printf("Recorded %zu completed block requests\n\n", spans.size());
   std::printf("%8s %10s %12s %14s\n", "cause", "requests", "MB", "disk-ms");
-  for (const auto& [pid, pc] : tracer.SummarizeByCause()) {
+  for (const auto& [pid, share] : obs::SplitByCause(spans)) {
     const char* who = pid == alice->pid() ? "alice"
                       : pid == bob->pid() ? "bob"
                                           : "kernel";
     std::printf("%8s %10llu %12.1f %14.1f\n", who,
-                static_cast<unsigned long long>(pc.requests),
-                pc.bytes / 1048576.0, ToMillis(pc.device_time));
+                static_cast<unsigned long long>(share.requests),
+                share.bytes / 1048576.0, ToMillis(share.device_time));
   }
   std::printf("\nNote: journal commits and writeback I/O are attributed to "
               "alice/bob, not to the kernel tasks that submitted them.\n");
 
-  std::ofstream csv("/tmp/splitio_trace.csv");
-  tracer.WriteCsv(csv);
-  std::printf("Full trace: /tmp/splitio_trace.csv\n");
+  std::ofstream out("splitio_spans.jsonl");
+  obs::WriteSpansJsonl(spans, out);
+  std::printf("Spans: splitio_spans.jsonl (read with tools/trace_stats)\n");
   return 0;
 }

@@ -120,8 +120,9 @@ class BlockLayer {
   uint64_t total_merged() const { return total_merged_; }
 
   // Completion listeners for split schedulers (accounting revision, §3.2)
-  // and instrumentation (IoTracer). Invoked after elevator->OnComplete, in
-  // registration order. set_ replaces all hooks; add_ appends.
+  // and instrumentation (the crash monitor, bench probes). Invoked after
+  // elevator->OnComplete, in registration order. set_ replaces all hooks;
+  // add_ appends.
   using CompletionHook = std::function<void(const BlockRequest&)>;
   void set_completion_hook(CompletionHook hook) {
     completion_hooks_.clear();

@@ -163,6 +163,33 @@ void WriteEventsJsonl(const std::vector<TraceEvent>& events,
   }
 }
 
+std::map<int32_t, CauseShare> SplitByCause(
+    const std::vector<RequestSpan>& spans) {
+  std::map<int32_t, CauseShare> split;
+  for (const RequestSpan& s : spans) {
+    if (s.causes.empty()) {
+      continue;
+    }
+    // Split evenly, handing the first `remainder` causes one extra unit:
+    // integer division alone drops up to n-1 ns/bytes per request.
+    auto n = static_cast<uint64_t>(s.causes.size());
+    Nanos time_share = s.service / static_cast<Nanos>(n);
+    auto time_rem =
+        static_cast<uint64_t>(s.service % static_cast<Nanos>(n));
+    uint64_t byte_share = s.bytes / n;
+    uint64_t byte_rem = s.bytes % n;
+    uint64_t i = 0;
+    for (int32_t pid : s.causes) {
+      CauseShare& share = split[pid];
+      ++share.requests;
+      share.bytes += byte_share + (i < byte_rem ? 1 : 0);
+      share.device_time += time_share + (i < time_rem ? 1 : 0);
+      ++i;
+    }
+  }
+  return split;
+}
+
 std::vector<std::pair<std::string, double>> SummarizeSpans(
     const std::vector<RequestSpan>& spans) {
   std::vector<std::pair<std::string, double>> out;

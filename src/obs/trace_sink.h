@@ -93,7 +93,7 @@ inline thread_local uint64_t g_request_id_seq = 0;
 inline uint64_t AllocRequestId() { return ++g_request_id_seq; }
 
 // In-memory recorder: appends every event to a vector. The base listener
-// for tests, the span builder, and IoTracer.
+// for tests and the span builder (BuildSpans, SplitByCause).
 class TraceSink : public TraceListener {
  public:
   TraceSink() = default;

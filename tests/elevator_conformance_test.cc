@@ -75,7 +75,7 @@ struct ConformanceStack {
 // One completed request as the completion hook sees it. `id` counts from
 // the first completion's request id: ids are process-wide, so two runs in
 // one process only agree on differences.
-struct TraceEntry {
+struct CompletionRecord {
   Nanos time = 0;
   int64_t id = 0;
   uint64_t sector = 0;
@@ -85,7 +85,7 @@ struct TraceEntry {
 };
 
 // FNV-1a over every field of every entry, in completion order.
-uint64_t TraceHash(const std::vector<TraceEntry>& trace) {
+uint64_t TraceHash(const std::vector<CompletionRecord>& trace) {
   uint64_t h = 14695981039346656037ULL;
   auto mix = [&h](uint64_t v) {
     for (int i = 0; i < 8; ++i) {
@@ -93,7 +93,7 @@ uint64_t TraceHash(const std::vector<TraceEntry>& trace) {
       h *= 1099511628211ULL;
     }
   };
-  for (const TraceEntry& e : trace) {
+  for (const CompletionRecord& e : trace) {
     mix(static_cast<uint64_t>(e.time));
     mix(static_cast<uint64_t>(e.id));
     mix(e.sector);
@@ -126,7 +126,7 @@ constexpr RecordedTrace kLegacyTraces[] = {
 
 // Outcome of one workload run.
 struct RunOutcome {
-  std::vector<TraceEntry> trace;  // completion order
+  std::vector<CompletionRecord> trace;  // completion order
   uint64_t submitted = 0;
   uint64_t completed = 0;
   uint64_t merged = 0;

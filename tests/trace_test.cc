@@ -1,26 +1,28 @@
-// Tests for the I/O trace recorder.
+// Tests for block-completion records taken through TraceSink and spans:
+// the completion log of a stack and the per-cause split of device time and
+// bytes (SplitByCause).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
-#include <sstream>
 
 #include "src/block/noop.h"
 #include "src/core/storage_stack.h"
-#include "src/device/trace.h"
+#include "src/obs/span.h"
+#include "src/obs/trace_sink.h"
 #include "src/sched/composed.h"
 #include "src/sim/simulator.h"
 
 namespace splitio {
 namespace {
 
-TEST(IoTracer, RecordsCompletionsWithCauses) {
+TEST(SpanBuilder, RecordsCompletionsWithCauses) {
   Simulator sim;
   StackConfig config;
   CpuModel cpu(8);
   StorageStack stack(config, &cpu, nullptr, std::make_unique<NoopElevator>());
-  IoTracer tracer;
-  tracer.Attach(&stack.block());
+  obs::TraceSink sink;
+  sink.Attach();
   stack.Start();
   Process* p = stack.NewProcess("app");
   auto body = [&]() -> Task<void> {
@@ -30,158 +32,80 @@ TEST(IoTracer, RecordsCompletionsWithCauses) {
   };
   sim.Spawn(body());
   sim.Run(Sec(5));
-  ASSERT_FALSE(tracer.entries().empty());
+  std::vector<obs::RequestSpan> spans = obs::BuildSpans(sink.events());
+  ASSERT_FALSE(spans.empty());
   bool saw_data_write = false;
   bool saw_journal = false;
-  for (const TraceEntry& e : tracer.entries()) {
-    EXPECT_GE(e.complete_time, e.enqueue_time);
-    EXPECT_GT(e.service_time, 0);
-    if (e.is_journal) {
+  for (const obs::RequestSpan& s : spans) {
+    EXPECT_GE(s.completed, s.added);
+    EXPECT_GT(s.service, 0);
+    if ((s.flags & obs::kFlagJournal) != 0) {
       saw_journal = true;
-    } else if (e.is_write) {
+    } else if ((s.flags & obs::kFlagWrite) != 0) {
       saw_data_write = true;
-      ASSERT_EQ(e.causes.size(), 1u);
-      EXPECT_EQ(e.causes[0], p->pid());
+      ASSERT_EQ(s.causes.size(), 1u);
+      EXPECT_EQ(s.causes[0], p->pid());
     }
   }
   EXPECT_TRUE(saw_data_write);
   EXPECT_TRUE(saw_journal);
 }
 
-TEST(IoTracer, CsvHasHeaderAndRows) {
-  Simulator sim;
-  StackConfig config;
-  CpuModel cpu(8);
-  StorageStack stack(config, &cpu, nullptr, std::make_unique<NoopElevator>());
-  IoTracer tracer;
-  tracer.Attach(&stack.block());
-  stack.Start();
-  Process* p = stack.NewProcess("app");
-  auto body = [&]() -> Task<void> {
-    int64_t ino = stack.fs().CreatePreallocated("/f", 1 << 20);
-    co_await stack.kernel().Read(*p, ino, 0, 1 << 20);
-  };
-  sim.Spawn(body());
-  sim.Run(Sec(5));
-  std::ostringstream out;
-  tracer.WriteCsv(out);
-  std::string csv = out.str();
-  EXPECT_NE(csv.find("enqueue_ns,complete_ns,sector"), std::string::npos);
-  EXPECT_NE(csv.find(",R,"), std::string::npos);
-  // Header + one line per entry.
-  size_t lines = static_cast<size_t>(
-      std::count(csv.begin(), csv.end(), '\n'));
-  EXPECT_EQ(lines, tracer.entries().size() + 1);
+obs::RequestSpan SharedSpan(uint32_t bytes, Nanos service,
+                            std::vector<int32_t> causes) {
+  obs::RequestSpan span;
+  span.bytes = bytes;
+  span.flags = obs::kFlagWrite;
+  span.service = service;
+  span.causes = std::move(causes);
+  return span;
 }
 
-TEST(IoTracer, SummarizeByCauseSplitsSharedRequests) {
-  IoTracer tracer;
-  Simulator sim;
-  HddModel hdd;
-  NoopElevator noop;
-  BlockLayer block(&hdd, &noop);
-  tracer.Attach(&block);
-  block.Start();
-  Process a(1, "a");
-  auto body = [&]() -> Task<void> {
-    auto req = std::make_shared<BlockRequest>();
-    req->sector = 0;
-    req->bytes = 2 * kPageSize;
-    req->is_write = true;
-    req->causes = CauseSet{1, 2};  // shared by two causes
-    co_await block.SubmitAndWait(req);
-  };
-  sim.Spawn(body());
-  sim.Run(Sec(1));
-  auto summary = tracer.SummarizeByCause();
-  ASSERT_EQ(summary.size(), 2u);
-  EXPECT_EQ(summary[1].bytes, summary[2].bytes);
-  EXPECT_EQ(summary[1].device_time, summary[2].device_time);
-  EXPECT_EQ(summary[1].requests, 1u);
+TEST(SplitByCause, SplitsSharedRequests) {
+  auto split = obs::SplitByCause(
+      {SharedSpan(2 * kPageSize, Msec(4), {1, 2})});  // shared by two causes
+  ASSERT_EQ(split.size(), 2u);
+  EXPECT_EQ(split[1].bytes, kPageSize);
+  EXPECT_EQ(split[1].bytes, split[2].bytes);
+  EXPECT_EQ(split[1].device_time, Msec(2));
+  EXPECT_EQ(split[1].device_time, split[2].device_time);
+  EXPECT_EQ(split[1].requests, 1u);
 }
 
 // Regression: integer division across causes used to drop up to n-1 ns and
 // bytes per request, so per-cause totals no longer summed to the per-request
 // totals.
-TEST(IoTracer, SummarizeByCauseConservesTimeAndBytes) {
-  IoTracer tracer;
-  Simulator sim;
-  HddModel hdd;
-  NoopElevator noop;
-  BlockLayer block(&hdd, &noop);
-  tracer.Attach(&block);
-  block.Start();
-  auto body = [&]() -> Task<void> {
-    auto req = std::make_shared<BlockRequest>();
-    req->sector = 0;
-    req->bytes = kPageSize;  // 4096: not divisible by 3 causes
-    req->is_write = true;
-    req->causes = CauseSet{1, 2, 3};
-    co_await block.SubmitAndWait(req);
-  };
-  sim.Spawn(body());
-  sim.Run(Sec(1));
-  ASSERT_EQ(tracer.entries().size(), 1u);
-  const TraceEntry& e = tracer.entries()[0];
-  auto summary = tracer.SummarizeByCause();
-  ASSERT_EQ(summary.size(), 3u);
+TEST(SplitByCause, ConservesTimeAndBytes) {
+  // 4096 bytes and 1,000,001 ns: neither divisible by 3 causes.
+  const obs::RequestSpan span = SharedSpan(kPageSize, 1000001, {1, 2, 3});
+  auto split = obs::SplitByCause({span});
+  ASSERT_EQ(split.size(), 3u);
   uint64_t total_bytes = 0;
   Nanos total_time = 0;
-  uint64_t min_bytes = e.bytes;
+  uint64_t min_bytes = span.bytes;
   uint64_t max_bytes = 0;
-  for (const auto& [pid, pc] : summary) {
-    total_bytes += pc.bytes;
-    total_time += pc.device_time;
-    min_bytes = std::min(min_bytes, pc.bytes);
-    max_bytes = std::max(max_bytes, pc.bytes);
+  for (const auto& [pid, share] : split) {
+    total_bytes += share.bytes;
+    total_time += share.device_time;
+    min_bytes = std::min(min_bytes, share.bytes);
+    max_bytes = std::max(max_bytes, share.bytes);
   }
-  EXPECT_EQ(total_bytes, e.bytes);
-  EXPECT_EQ(total_time, e.service_time);
+  EXPECT_EQ(total_bytes, span.bytes);
+  EXPECT_EQ(total_time, span.service);
   // Still an even split: shares differ by at most one unit.
   EXPECT_LE(max_bytes - min_bytes, 1u);
 }
 
-TEST(IoTracer, SequentialFraction) {
-  IoTracer tracer;
+TEST(TraceSink, DetachStopsRecordingAndKeepsEvents) {
+  obs::TraceSink sink;
+  sink.Detach();  // detaching while unattached is a no-op
+  EXPECT_FALSE(sink.attached());
   Simulator sim;
   HddModel hdd;
   NoopElevator noop;
   BlockLayer block(&hdd, &noop);
-  tracer.Attach(&block);
-  block.Start();
-  auto body = [&]() -> Task<void> {
-    // Three perfectly sequential writes, then one far seek.
-    uint64_t sector = 0;
-    for (int i = 0; i < 3; ++i) {
-      auto req = std::make_shared<BlockRequest>();
-      req->sector = sector;
-      req->bytes = kPageSize;
-      req->is_write = true;
-      sector += kPageSize / kSectorSize;
-      co_await block.SubmitAndWait(req);
-    }
-    auto far = std::make_shared<BlockRequest>();
-    far->sector = 1 << 20;
-    far->bytes = kPageSize;
-    far->is_write = true;
-    co_await block.SubmitAndWait(far);
-  };
-  sim.Spawn(body());
-  sim.Run(Sec(1));
-  // 2 of 3 transitions sequential.
-  EXPECT_NEAR(tracer.SequentialFraction(), 2.0 / 3.0, 1e-9);
-}
-
-TEST(IoTracer, DetachStopsRecordingAndKeepsEntries) {
-  IoTracer tracer;
-  tracer.Detach();  // detaching while unattached is a no-op
-  EXPECT_FALSE(tracer.attached());
-  Simulator sim;
-  HddModel hdd;
-  NoopElevator noop;
-  BlockLayer block(&hdd, &noop);
-  tracer.Attach(&block);
-  EXPECT_TRUE(tracer.attached());
+  sink.Attach();
+  EXPECT_TRUE(sink.attached());
   block.Start();
   auto one_write = [&](uint64_t sector) -> Task<void> {
     auto req = std::make_shared<BlockRequest>();
@@ -192,18 +116,19 @@ TEST(IoTracer, DetachStopsRecordingAndKeepsEntries) {
   };
   auto body = [&]() -> Task<void> {
     co_await one_write(0);
-    tracer.Detach();
+    sink.Detach();
     co_await one_write(1 << 20);  // not recorded
   };
   sim.Spawn(body());
   sim.Run(Sec(1));
-  EXPECT_FALSE(tracer.attached());
-  // The entry recorded before Detach survives it.
-  ASSERT_EQ(tracer.entries().size(), 1u);
-  EXPECT_EQ(tracer.entries()[0].sector, 0u);
+  EXPECT_FALSE(sink.attached());
+  // The completion recorded before Detach survives it.
+  std::vector<obs::RequestSpan> spans = obs::BuildSpans(sink.events());
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_EQ(spans[0].sector, 0u);
 }
 
-TEST(IoTracer, CoexistsWithSplitSchedulerHook) {
+TEST(TraceSink, CoexistsWithSplitSchedulerHook) {
   Simulator sim;
   StackConfig config;
   CpuModel cpu(8);
@@ -211,8 +136,8 @@ TEST(IoTracer, CoexistsWithSplitSchedulerHook) {
   sched->SetAccountLimit(1, 4.0 * 1024 * 1024);
   ComposedScheduler* token = sched.get();
   StorageStack stack(config, &cpu, std::move(sched), nullptr);
-  IoTracer tracer;
-  tracer.Attach(&stack.block());  // appends after the scheduler's hook
+  obs::TraceSink sink;
+  sink.Attach();
   stack.Start();
   Process* p = stack.NewProcess("app");
   p->set_account(1);
@@ -223,9 +148,9 @@ TEST(IoTracer, CoexistsWithSplitSchedulerHook) {
   };
   sim.Spawn(body());
   sim.Run(Sec(20));
-  // Both consumers observed the I/O: the tracer has entries AND the token
-  // scheduler revised the account at block completion.
-  EXPECT_FALSE(tracer.entries().empty());
+  // Both consumers observed the I/O: the sink recorded completions AND the
+  // token scheduler revised the account at block completion.
+  EXPECT_FALSE(obs::BuildSpans(sink.events()).empty());
   EXPECT_NE(token->account_balance(1), 0.0);
 }
 
