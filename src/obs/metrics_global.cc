@@ -59,6 +59,13 @@ std::vector<std::pair<std::string, double>> FinalizeGlobalMetrics() {
   if (sample_hook() == &g_metrics->hub) {
     set_sample_hook(nullptr);
   }
+  const MetricsHub& hub = g_metrics->hub;
+  if (hub.series().empty() && hub.histograms().empty() &&
+      hub.alerts().empty()) {
+    std::fprintf(stderr,
+                 "warning: --metrics recorded nothing (runs inside "
+                 "ShardGroup shards are untraced, DESIGN.md §11)\n");
+  }
   if (!g_metrics->jsonl_path.empty()) {
     std::ofstream out(g_metrics->jsonl_path);
     if (out) {

@@ -52,6 +52,11 @@ std::vector<std::pair<std::string, double>> FinalizeGlobalTrace() {
   g_trace->finalized = true;
   g_trace->sink.Detach();
   const std::vector<TraceEvent>& events = g_trace->sink.events();
+  if (events.empty()) {
+    std::fprintf(stderr,
+                 "warning: --trace recorded nothing (runs inside ShardGroup "
+                 "shards are untraced, DESIGN.md §11)\n");
+  }
   std::vector<RequestSpan> spans = BuildSpans(events);
   if (!g_trace->spans_path.empty()) {
     std::ofstream out(g_trace->spans_path);
