@@ -12,6 +12,7 @@
 #include "src/block/noop.h"
 #include "src/device/device.h"
 #include "src/sim/simulator.h"
+#include "tests/dispatch_stream.h"
 
 namespace splitio {
 namespace {
@@ -299,6 +300,33 @@ TEST(BlockDeadline, DrainedRequestsAreReleased) {
   EXPECT_EQ(dispatched, 64);
   for (const std::weak_ptr<BlockRequest>& w : held) {
     EXPECT_TRUE(w.expired());
+  }
+}
+
+// The dispatch order of a random stream (tests/dispatch_stream.h), recorded
+// before Split-Deadline moved onto this elevator's queues: expiry jumps,
+// batches, the writes_starved read preference and back-merges all feed it.
+TEST(BlockDeadline, DispatchOrderMatchesRecordedHash) {
+  struct Recorded {
+    uint64_t seed;
+    uint64_t dispatched;
+    uint64_t hash;
+  };
+  constexpr Recorded kRecorded[] = {
+      {1, 10827, 0xd042b661bcd16ed4ULL},
+      {2, 10932, 0x20ffeb69a2b7be94ULL},
+      {3, 10958, 0x545788dcd70459b3ULL},
+  };
+  for (const Recorded& r : kRecorded) {
+    BlockDeadlineConfig config;
+    config.read_expiry = Msec(20);
+    config.write_expiry = Msec(100);
+    config.fifo_batch = 4;
+    BlockDeadlineElevator elv(config);
+    DispatchDigest d = RunDispatchStream(elv, r.seed);
+    EXPECT_EQ(d.dispatched, r.dispatched) << "seed " << r.seed;
+    EXPECT_EQ(d.hash, r.hash)
+        << "seed " << r.seed << ": 0x" << std::hex << d.hash;
   }
 }
 

@@ -14,6 +14,7 @@
 #include "src/sched/engines.h"
 #include "src/sim/simulator.h"
 #include "src/workload/workloads.h"
+#include "tests/dispatch_stream.h"
 
 namespace splitio {
 namespace {
@@ -131,6 +132,33 @@ TEST(SplitDeadlineDetail, DrainedReadsAreReleased) {
   EXPECT_EQ(dispatched, 64);
   for (const std::weak_ptr<BlockRequest>& w : held) {
     EXPECT_TRUE(w.expired());
+  }
+}
+
+// The dispatch order of a random stream (tests/dispatch_stream.h), recorded
+// before Split-Deadline moved onto Block-Deadline's queues: expired reads,
+// then sync and journal writes, then sorted batches with the writes_starved
+// read preference. Background writes carry no deadline.
+TEST(SplitDeadlineDetail, DispatchOrderMatchesRecordedHash) {
+  struct Recorded {
+    uint64_t seed;
+    uint64_t dispatched;
+    uint64_t hash;
+  };
+  constexpr Recorded kRecorded[] = {
+      {1, 11969, 0x9af69880b635f85eULL},
+      {2, 12125, 0x15edcf71d7d36b68ULL},
+      {3, 12081, 0x3b0339e368fbd93fULL},
+  };
+  for (const Recorded& r : kRecorded) {
+    SplitDeadlineConfig config;
+    config.default_read_deadline = Msec(20);
+    config.fifo_batch = 4;
+    ComposedScheduler sched(SplitDeadlineSpec(config));
+    DispatchDigest d = RunDispatchStream(sched, r.seed);
+    EXPECT_EQ(d.dispatched, r.dispatched) << "seed " << r.seed;
+    EXPECT_EQ(d.hash, r.hash)
+        << "seed " << r.seed << ": 0x" << std::hex << d.hash;
   }
 }
 
