@@ -41,17 +41,28 @@ void BlockDeadlineElevator::Add(BlockRequestPtr req) {
     }
   }
   req->deadline = req->enqueue_time + expiry;
-  sorted_[dir].emplace(req->sector, req);
-  fifo_[dir].push_back(std::move(req));
+  Queue(std::move(req));
+}
+
+void BlockDeadlineElevator::Queue(BlockRequestPtr req) {
+  Dir dir = DirOf(*req);
+  if (req->deadline != kNanosMax) {
+    fifo_[dir].push_back(req);
+  }
+  sorted_[dir].emplace(req->sector, std::move(req));
   ++count_[dir];
   ++pending_;
+}
+
+void BlockDeadlineElevator::SkipPast(const BlockRequest& req) {
+  next_sector_ = req.sector + req.bytes / kSectorSize;
 }
 
 BlockRequestPtr BlockDeadlineElevator::Finish(Dir dir, BlockRequestPtr req) {
   req->elv_dispatched = true;
   --count_[dir];
   --pending_;
-  next_sector_ = req->sector + req->bytes / kSectorSize;
+  SkipPast(*req);
   // Keep the FIFO's head the oldest undispatched request, so expiry checks
   // are O(1) and dispatched requests are not held alive by the queue.
   std::deque<BlockRequestPtr>& fifo = fifo_[dir];
@@ -61,9 +72,15 @@ BlockRequestPtr BlockDeadlineElevator::Finish(Dir dir, BlockRequestPtr req) {
   return req;
 }
 
-BlockRequestPtr BlockDeadlineElevator::PopFifo(Dir dir) {
-  BlockRequestPtr req = std::move(fifo_[dir].front());
-  fifo_[dir].pop_front();
+BlockRequestPtr BlockDeadlineElevator::PopExpired(Dir dir) {
+  std::deque<BlockRequestPtr>& fifo = fifo_[dir];
+  if (fifo.empty() || fifo.front()->deadline > Simulator::current().Now()) {
+    return nullptr;
+  }
+  dir_ = dir;
+  batch_remaining_ = config_.fifo_batch - 1;
+  BlockRequestPtr req = std::move(fifo.front());
+  fifo.pop_front();
   // Remove from the sorted index (which still holds its copy).
   auto [lo, hi] = sorted_[dir].equal_range(req->sector);
   for (auto it = lo; it != hi; ++it) {
@@ -90,11 +107,6 @@ BlockRequestPtr BlockDeadlineElevator::PopSorted(Dir dir, uint64_t from) {
   return Finish(dir, std::move(req));
 }
 
-bool BlockDeadlineElevator::FifoExpired(Dir dir) const {
-  return !fifo_[dir].empty() &&
-         fifo_[dir].front()->deadline <= Simulator::current().Now();
-}
-
 BlockRequestPtr BlockDeadlineElevator::Next() {
   if (pending_ == 0) {
     return nullptr;
@@ -116,11 +128,11 @@ BlockRequestPtr BlockDeadlineElevator::Next() {
     dir = kWrite;
     starved_ = 0;
   }
+  if (BlockRequestPtr req = PopExpired(dir)) {
+    return req;  // jump to the oldest request
+  }
   dir_ = dir;
   batch_remaining_ = config_.fifo_batch - 1;
-  if (FifoExpired(dir)) {
-    return PopFifo(dir);  // jump to the oldest request
-  }
   return PopSorted(dir, next_sector_);
 }
 

@@ -14,6 +14,11 @@
 // The stock scheduler has global read/write expiry settings; per-process
 // overrides (Process::read_deadline / write_deadline) are supported to
 // enable the paper's fair comparison (§5.2).
+//
+// Split-Deadline (src/sched/engines.h) dispatches through these queues
+// too: it sets its own deadlines and queues with Queue(), serves expired
+// reads with PopExpired(), and moves the elevator past the fsync-critical
+// writes it dispatches from its own FIFO with SkipPast().
 #ifndef SRC_BLOCK_BLOCK_DEADLINE_H_
 #define SRC_BLOCK_BLOCK_DEADLINE_H_
 
@@ -38,27 +43,37 @@ class BlockDeadlineElevator : public Elevator {
   // queue (the legacy, pre-mq deadline elevator).
   bool mq_aware() const override { return false; }
 
+  enum Dir { kRead = 0, kWrite = 1 };
+
   bool TryMerge(const BlockRequestPtr& req) override;
+  // Sets the request's deadline from the expiry settings, then queues it.
   void Add(BlockRequestPtr req) override;
   BlockRequestPtr Next() override;
   bool Empty() const override { return pending_ == 0; }
 
- private:
-  enum Dir { kRead = 0, kWrite = 1 };
+  // Queues `req` under the deadline its caller set: in its direction's
+  // sorted queue, and in its FIFO only if it has a deadline.
+  void Queue(BlockRequestPtr req);
+  // If the head of `dir`'s FIFO has expired, pops it and starts a batch in
+  // `dir` there; otherwise returns nullptr.
+  BlockRequestPtr PopExpired(Dir dir);
+  // Continues sorted dispatch after `req`, dispatched from elsewhere.
+  void SkipPast(const BlockRequest& req);
+  // `dir`'s FIFO in arrival order. Its head is undispatched; later entries
+  // may already have left through the sorted queue.
+  const std::deque<BlockRequestPtr>& fifo(Dir dir) const { return fifo_[dir]; }
 
+ private:
   static Dir DirOf(const BlockRequest& req) {
     return req.is_write ? kWrite : kRead;
   }
 
-  // Pops the (undispatched) front of a non-empty FIFO.
-  BlockRequestPtr PopFifo(Dir dir);
   // Removes and returns the first sorted request at or after `from`,
   // wrapping around (one-way elevator / C-SCAN).
   BlockRequestPtr PopSorted(Dir dir, uint64_t from);
   // Marks `req` dispatched, updates the counters/elevator position, and
   // pops dispatched requests off the FIFO's head.
   BlockRequestPtr Finish(Dir dir, BlockRequestPtr req);
-  bool FifoExpired(Dir dir) const;
   bool HasPending(Dir dir) const { return count_[dir] > 0; }
 
   BlockDeadlineConfig config_;
