@@ -22,7 +22,6 @@ Outcome Run(bool own_writeback) {
   BundleOptions opt;
   opt.sched.split_deadline.own_writeback = own_writeback;
   opt.sched.split_deadline.pdflush_dirty_margin_bytes = 32ULL << 20;
-  opt.stack.cache.writeback_daemon = !own_writeback;
   Bundle b = MakeBundle(SchedKind::kSplitDeadline, std::move(opt));
   Process* a = b.stack->NewProcess("A");
   a->set_fsync_deadline(Msec(50));

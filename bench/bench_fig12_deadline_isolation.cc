@@ -28,7 +28,6 @@ Outcome Run(SchedKind kind, bool ssd) {
   }
   if (kind == SchedKind::kSplitDeadline) {
     opt.sched.split_deadline.own_writeback = true;
-    opt.stack.cache.writeback_daemon = false;
   } else {
     opt.sched.block_deadline.read_expiry = ssd ? Msec(10) : Msec(20);
     opt.sched.block_deadline.write_expiry = ssd ? Msec(10) : Msec(20);

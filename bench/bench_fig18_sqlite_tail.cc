@@ -31,7 +31,6 @@ Row Run(SchedKind kind, uint64_t threshold) {
   opt.stack.cache.writeback_interval = Sec(60);
   if (kind == SchedKind::kSplitDeadline) {
     opt.sched.split_deadline.own_writeback = true;
-    opt.stack.cache.writeback_daemon = false;
   }
   Bundle b = MakeBundle(kind, std::move(opt));
   Process* worker = b.stack->NewProcess("sqlite-worker");

@@ -30,7 +30,6 @@ Cdf Run(SchedKind kind, bool own_writeback) {
   if (kind == SchedKind::kSplitDeadline) {
     opt.sched.split_deadline.own_writeback = own_writeback;
     opt.sched.split_deadline.pdflush_dirty_margin_bytes = 32ULL << 20;
-    opt.stack.cache.writeback_daemon = !own_writeback;
   } else {
     opt.sched.block_deadline.read_expiry = Msec(5);
     opt.sched.block_deadline.write_expiry = Msec(5);

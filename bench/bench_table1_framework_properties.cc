@@ -91,7 +91,6 @@ double ProbeReordering(SchedKind kind) {
     BundleOptions opt;
     if (kind == SchedKind::kSplitDeadline) {
       opt.sched.split_deadline.own_writeback = true;
-      opt.stack.cache.writeback_daemon = false;
     }
     Bundle b = MakeBundle(kind, std::move(opt));
     Process* a = b.stack->NewProcess("A");

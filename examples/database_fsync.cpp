@@ -28,7 +28,6 @@ void RunOnce(bool use_split) {
   if (use_split) {
     SplitDeadlineConfig sd;
     sd.own_writeback = true;           // scheduler controls writeback
-    config.cache.writeback_daemon = false;
     stack = std::make_unique<StorageStack>(
         config, &cpu,
         std::make_unique<ComposedScheduler>(SplitDeadlineSpec(sd)), nullptr);

@@ -69,8 +69,9 @@ class PageCache {
     double dirty_background_ratio = 0.10;
     Nanos writeback_interval = Sec(5);
     Nanos dirty_expire = Sec(30);
-    // Whether the kernel writeback daemon runs. Split-Deadline can disable
-    // it and own writeback itself (§7.1.2).
+    // Whether the kernel writeback daemon runs. A scheduler that owns
+    // writeback (Split-Deadline, §7.1.2) turns it off when it attaches;
+    // tests turn it off to keep data buffered.
     bool writeback_daemon = true;
     uint64_t clean_capacity_pages = 256 * 1024;  // 1 GB of clean cache
     // Pages flushed per writeback batch per inode.
@@ -83,6 +84,8 @@ class PageCache {
   void set_hooks(PageCacheHooks* hooks) { hooks_ = hooks; }
   const Config& config() const { return config_; }
   void set_dirty_ratio(double ratio) { config_.dirty_ratio = ratio; }
+  // Before StartWritebackDaemon: the daemon will not start.
+  void DisableWritebackDaemon() { config_.writeback_daemon = false; }
 
   // ---- Lookup / read path ----
   Page* Find(int64_t ino, uint64_t index);

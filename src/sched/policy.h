@@ -76,7 +76,7 @@ struct SplitDeadlineConfig {
   // scattered dirty pages are far more expensive than their byte count
   // suggests.
   Nanos fsync_direct_cost = Msec(25);
-  // Scheduler-owned writeback (requires cache writeback_daemon = false).
+  // Scheduler-owned writeback; turns the cache's writeback daemon off.
   bool own_writeback = false;
   Nanos own_writeback_period = Msec(25);
   uint64_t own_writeback_batch_pages = 512;

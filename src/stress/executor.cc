@@ -151,12 +151,6 @@ ExecResult ExecuteScenario(const Scenario& scenario,
   if (st.control == NegativeControl::kSkipPreflush) {
     config.journal.buggy_skip_preflush = true;
   }
-  if (st.use_spec && st.spec.writeback == WritebackKind::kSchedOwned) {
-    // Scheduler-owned writeback: the composed scheduler's own loop flushes
-    // dirty data; the kernel daemon must stand down (same contract as the
-    // split-deadline own-writeback benches).
-    config.cache.writeback_daemon = false;
-  }
 
   SchedInstance inst;
   if (st.control == NegativeControl::kMisorderedElevator) {

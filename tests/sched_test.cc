@@ -418,7 +418,6 @@ Nanos SmallFsyncP99(bool use_split) {
   if (use_split) {
     SplitDeadlineConfig sd;
     sd.own_writeback = true;
-    config.cache.writeback_daemon = false;
     stack = std::make_unique<StorageStack>(
         config, &cpu,
         std::make_unique<ComposedScheduler>(SplitDeadlineSpec(sd)), nullptr);
@@ -468,7 +467,6 @@ TEST(SplitDeadline, ProtectsSmallFsyncsFromBigOnes) {
 TEST(SplitDeadline, OwnWritebackEventuallyCleansDirtyData) {
   Simulator sim;
   StackConfig config;
-  config.cache.writeback_daemon = false;
   SplitDeadlineConfig sd;
   sd.own_writeback = true;
   CpuModel cpu(8);
@@ -483,6 +481,46 @@ TEST(SplitDeadline, OwnWritebackEventuallyCleansDirtyData) {
   };
   sim.Spawn(body());
   sim.Run(Sec(10));
+  EXPECT_EQ(stack.cache().dirty_pages(), 0u);
+}
+
+// Scheduler-owned writeback turns the kernel daemon off by itself: with the
+// cache's daemon flag left at its default, a 32 MB write into a 64 MB cache
+// (five times its background limit) reaches the device only through the
+// own-writeback ticks.
+TEST(SplitDeadline, OwnWritebackTurnsTheDaemonOff) {
+  Simulator sim;
+  StackConfig config;
+  config.cache.total_ram = 64 << 20;
+  SplitDeadlineConfig sd;
+  sd.own_writeback = true;
+  CpuModel cpu(8);
+  StorageStack stack(config, &cpu,
+                     std::make_unique<ComposedScheduler>(SplitDeadlineSpec(sd)),
+                     nullptr);
+  stack.Start();
+  Process* p = stack.NewProcess("app");
+  std::vector<Nanos> data_submits;
+  stack.block().add_completion_hook([&](const BlockRequest& req) {
+    if (req.is_write && !req.is_journal && !req.is_flush) {
+      data_submits.push_back(req.enqueue_time);
+    }
+  });
+  auto body = [&]() -> Task<void> {
+    int64_t ino = co_await stack.kernel().Creat(*p, "/f");
+    co_await stack.kernel().Write(*p, ino, 0, 32 << 20);
+  };
+  sim.Spawn(body());
+  sim.Run(Sec(10));
+  ASSERT_FALSE(data_submits.empty());
+  int off_tick = 0;
+  for (Nanos t : data_submits) {
+    if (t % sd.own_writeback_period != 0) {
+      ++off_tick;
+    }
+  }
+  EXPECT_EQ(off_tick, 0) << "of " << data_submits.size()
+                         << " data writes; the first at " << data_submits[0];
   EXPECT_EQ(stack.cache().dirty_pages(), 0u);
 }
 
@@ -501,7 +539,6 @@ HiddenReadRun RunReadAcrossOwnWritebackTick(const BlockMqConfig& mq) {
   Simulator sim;
   StackConfig config;
   config.mq = mq;
-  config.cache.writeback_daemon = false;
   SplitDeadlineConfig sd;
   sd.own_writeback = true;
   CpuModel cpu(8);
