@@ -13,6 +13,13 @@ void VmGuest::CreateImage(const std::string& path) {
 
 void VmGuest::Start() { Simulator::current().Spawn(GuestWritebackLoop()); }
 
+Page& VmGuest::GuestPage(uint64_t idx) {
+  bool inserted = false;
+  Page& page = guest_pages_.FindOrInsert(idx, guest_pools_, &inserted);
+  page.index = idx;
+  return page;
+}
+
 Task<uint64_t> VmGuest::Read(uint64_t offset, uint64_t len) {
   uint64_t first = offset / kPageSize;
   uint64_t last = (offset + len - 1) / kPageSize;
@@ -24,12 +31,11 @@ Task<uint64_t> VmGuest::Read(uint64_t offset, uint64_t len) {
                                   run_start * kPageSize, run_pages * kPageSize);
     host_reads_ += run_pages;
     for (uint64_t i = 0; i < run_pages; ++i) {
-      guest_pages_.emplace(run_start + i, false);
+      GuestPage(run_start + i);
     }
   };
   for (uint64_t idx = first; idx <= last; ++idx) {
-    bool hit = guest_pages_.count(idx) > 0;
-    if (hit) {
+    if (guest_pages_.Find(idx) != nullptr) {
       ++hits_;
       co_await host_->cpu().Consume(config_.guest_page_cost);
       if (run_pages > 0) {
@@ -53,8 +59,11 @@ Task<uint64_t> VmGuest::Write(uint64_t offset, uint64_t len) {
   uint64_t first = offset / kPageSize;
   uint64_t last = (offset + len - 1) / kPageSize;
   for (uint64_t idx = first; idx <= last; ++idx) {
-    guest_pages_[idx] = true;
-    guest_dirty_.insert(idx);
+    Page& page = GuestPage(idx);
+    if (!page.dirty) {
+      page.dirty = true;
+      guest_pages_.TagDirty(guest_pages_.FindLeaf(idx), idx);
+    }
     co_await host_->cpu().Consume(config_.guest_page_cost);
   }
   // Guest dirty-ratio throttling: flush through the host when the guest
@@ -62,7 +71,7 @@ Task<uint64_t> VmGuest::Write(uint64_t offset, uint64_t len) {
   uint64_t limit = static_cast<uint64_t>(
       config_.guest_dirty_ratio * static_cast<double>(config_.guest_ram) /
       kPageSize);
-  while (guest_dirty_.size() > limit) {
+  while (guest_pages_.dirty_pages() > limit) {
     co_await FlushDirty(2048);
   }
   co_return len;
@@ -78,10 +87,13 @@ Task<void> VmGuest::FlushDirty(uint64_t max_pages) {
                                    run_start * kPageSize,
                                    run_pages * kPageSize);
   };
-  while (!guest_dirty_.empty() && flushed < max_pages) {
-    uint64_t idx = *guest_dirty_.begin();
-    guest_dirty_.erase(guest_dirty_.begin());
-    guest_pages_[idx] = false;
+  while (guest_pages_.dirty_pages() > 0 && flushed < max_pages) {
+    // The lowest dirty page, as the dirty set may have changed meanwhile.
+    Page* page = nullptr;
+    guest_pages_.ForEachDirty(1, [&](Page& p) { page = &p; });
+    uint64_t idx = page->index;
+    page->dirty = false;
+    guest_pages_.UntagDirty(guest_pages_.FindLeaf(idx), idx);
     ++flushed;
     if (run_pages > 0 && idx == run_start + run_pages && run_pages < 256) {
       ++run_pages;
@@ -99,7 +111,7 @@ Task<void> VmGuest::FlushDirty(uint64_t max_pages) {
 }
 
 Task<void> VmGuest::Fsync() {
-  while (!guest_dirty_.empty()) {
+  while (guest_pages_.dirty_pages() > 0) {
     co_await FlushDirty(kNoPageLimit);
   }
   co_await host_->kernel().Fsync(*vm_process_, image_ino_);
@@ -108,7 +120,7 @@ Task<void> VmGuest::Fsync() {
 Task<void> VmGuest::GuestWritebackLoop() {
   for (;;) {
     co_await Delay(config_.guest_writeback_interval);
-    if (!guest_dirty_.empty()) {
+    if (guest_pages_.dirty_pages() > 0) {
       co_await FlushDirty(8192);
     }
   }

@@ -12,9 +12,8 @@
 #define SRC_APPS_VM_GUEST_H_
 
 #include <cstdint>
-#include <map>
-#include <set>
 
+#include "src/cache/page_tree.h"
 #include "src/core/storage_stack.h"
 #include "src/sim/random.h"
 
@@ -49,7 +48,7 @@ class VmGuest {
   void PrefillGuestCache(uint64_t offset, uint64_t len) {
     for (uint64_t idx = offset / kPageSize;
          idx <= (offset + len - 1) / kPageSize; ++idx) {
-      guest_pages_.emplace(idx, false);
+      GuestPage(idx);
     }
   }
 
@@ -57,6 +56,8 @@ class VmGuest {
   uint64_t host_reads() const { return host_reads_; }
 
  private:
+  // The guest page at `idx`, inserted clean if it was not resident.
+  Page& GuestPage(uint64_t idx);
   Task<void> GuestWritebackLoop();
   Task<void> FlushDirty(uint64_t max_pages);
 
@@ -64,9 +65,10 @@ class VmGuest {
   Process* vm_process_;
   Config config_;
   int64_t image_ino_ = -1;
-  // Guest page cache: page index -> dirty?
-  std::map<uint64_t, bool> guest_pages_;
-  std::set<uint64_t> guest_dirty_;
+  // Guest page cache: resident pages are present in the tree, dirty pages
+  // are tagged. Clean pages are never evicted.
+  PageTree::Pools guest_pools_;
+  PageTree guest_pages_;
   uint64_t hits_ = 0;
   uint64_t host_reads_ = 0;
 };
