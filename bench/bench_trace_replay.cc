@@ -33,7 +33,7 @@ namespace {
 
 struct TraceRun {
   std::string label;
-  std::string file;
+  std::string name;  // file name within the trace directory
 };
 
 double WallSeconds(std::chrono::steady_clock::time_point start) {
@@ -65,8 +65,8 @@ int main(int argc, char** argv) {
   PrintTitle("Trace replay: reconstructed real-trace programs under every "
              "scheduler");
   std::vector<TraceRun> traces = {
-      {"blktrace", dir + "/sample_blktrace.txt"},
-      {"msr-csv", dir + "/sample_msr.csv"},
+      {"blktrace", "sample_blktrace.txt"},
+      {"msr-csv", "sample_msr.csv"},
   };
 
   ingest::ReconstructOptions rec;
@@ -81,16 +81,18 @@ int main(int argc, char** argv) {
   auto wall_start = std::chrono::steady_clock::now();
 
   for (const TraceRun& t : traces) {
+    std::string path = dir + "/" + t.name;
     ingest::ParsedTrace parsed;
     ingest::TraceError terr;
-    if (!ingest::LoadTraceFile(t.file, ingest::TraceFormat::kAuto, &parsed,
+    if (!ingest::LoadTraceFile(path, ingest::TraceFormat::kAuto, &parsed,
                                &terr)) {
-      std::fprintf(stderr, "bench_trace_replay: %s: %s\n", t.file.c_str(),
+      std::fprintf(stderr, "bench_trace_replay: %s: %s\n", path.c_str(),
                    terr.Describe().c_str());
       return 2;
     }
+    // The file name only, so the output does not depend on the checkout.
     std::printf("\n%s (%s): %llu records, %llu skipped lines\n",
-                t.label.c_str(), t.file.c_str(),
+                t.label.c_str(), t.name.c_str(),
                 static_cast<unsigned long long>(parsed.records.size()),
                 static_cast<unsigned long long>(parsed.lines_skipped));
     std::printf("%16s %10s %12s %10s %8s %18s\n", "sched", "ops",
