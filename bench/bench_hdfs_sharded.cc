@@ -2,39 +2,36 @@
 //
 // The Figure 21 scenario — throttled and unthrottled client groups writing
 // pipelined replicated blocks, Split-Token on every worker — but on the
-// sharded parallel simulator: one DES per worker node, conservative
-// lookahead equal to the RPC latency, all cores. The bench sweeps the
-// worker-shard grouping and reports simulated-events/sec per row, which is
-// the scaling report the nightly CI uploads.
+// sharded simulator: one DES per worker node, conservative lookahead equal
+// to the RPC latency, shards run in line. The bench sweeps the worker-shard
+// grouping and reports simulated-events/sec per row, which is the scaling
+// report the nightly CI uploads.
 //
 // Two invariants are checked on every run and make the bench fail loudly:
 //   * zero causality violations (the lookahead really is conservative);
-//   * the physical timeline is independent of the execution schedule — a
-//     threads=1 and a threads=4 run of the same configuration must agree
-//     on every client's byte count, total events, and every counter.
+//   * the physical timeline is independent of the grouping — every row
+//     must agree with the one-shard row on every client's byte count, total
+//     events, and every counter but allocs.
 //
 // Environment knobs (all optional):
 //   SPLITIO_SHARD_CHECK=1     deterministic-output mode for the byte-diff
 //                             ctest: no wall-clock numbers, configuration
 //                             taken from the SPLITIO_SHARD_* vars below.
-//   SPLITIO_SHARD_NODES       worker count            (default 100)
-//   SPLITIO_SHARD_CLIENTS     clients per group       (default 4)
-//   SPLITIO_SHARD_HORIZON_MS  simulated horizon in ms (default 400)
-//   SPLITIO_SHARD_THREADS     pool size               (check mode; 1)
-//   SPLITIO_SHARD_GROUPING    workers per shard       (check mode; 1)
+//   SPLITIO_SHARD_NODES       worker count, >= 3      (default 100)
+//   SPLITIO_SHARD_CLIENTS     clients per group, >= 0 (default 4)
+//   SPLITIO_SHARD_HORIZON_MS  horizon in ms, >= 1    (default 400)
+//   SPLITIO_SHARD_GROUPING    workers per shard, >= 1 (check mode; 1)
 //   SPLITIO_SHARD_SCHED       scheduler name          (check mode)
 //   SPLITIO_SHARD_PERTURB=1   inflate the lookahead past the RPC latency —
 //                             the negative control: the run must report
 //                             causality violations and exit nonzero.
-//   SPLITIO_SHARD_SPEEDUP_MIN require at least this events/sec speedup of
-//                             the widest row over sequential (CI gate on
-//                             multi-core runners; skipped when the machine
-//                             has fewer than 4 cores).
+// An out-of-range value exits 2 naming the variable.
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
-#include <thread>
+#include <limits>
 
 #include "bench/common/flags.h"
 #include "bench/common/harness.h"
@@ -47,6 +44,36 @@ int64_t EnvInt(const char* name, int64_t fallback) {
   const char* v = std::getenv(name);
   return (v != nullptr && *v != '\0') ? std::atoll(v) : fallback;
 }
+
+// Reads a knob that must be an integer of at least `min` that fits an int:
+// fewer workers than the replication factor would never finish placing a
+// block, a zero grouping divides by zero, a negative client count sizes a
+// vector, and a zero horizon divides the MB/s columns by zero. Prints the
+// variable and returns false on anything else.
+bool EnvIntAtLeast(const char* name, int64_t fallback, int64_t min,
+                   int* out) {
+  const int64_t max = std::numeric_limits<int>::max();
+  int64_t v = fallback;
+  bool parsed = true;
+  const char* text = std::getenv(name);
+  if (text != nullptr && *text != '\0') {
+    char* end = nullptr;
+    errno = 0;
+    v = std::strtoll(text, &end, 10);
+    parsed = *end == '\0' && errno != ERANGE;
+  }
+  if (!parsed || v < min || v > max) {
+    std::fprintf(stderr, "%s=%s is out of range: need an integer in [%lld, "
+                 "%lld]\n", name, text != nullptr ? text : "",
+                 static_cast<long long>(min), static_cast<long long>(max));
+    return false;
+  }
+  *out = static_cast<int>(v);
+  return true;
+}
+
+// The replication factor every scenario here uses: the floor on workers.
+const int kReplication = ShardedDfs::Config{}.replication;
 
 struct RunResult {
   std::vector<uint64_t> client_bytes;
@@ -66,7 +93,6 @@ struct Scenario {
   int clients_per_group = 4;
   Nanos horizon = Msec(400);
   int workers_per_shard = 1;
-  int threads = 1;
   SchedKind sched = SchedKind::kSplitToken;
   bool perturb_lookahead = false;
   double cap_mbps = 8.0;
@@ -84,7 +110,6 @@ RunResult RunOnce(const Scenario& sc) {
     config.workers = sc.nodes;
     config.workers_per_shard = sc.workers_per_shard;
     config.sched = sc.sched;
-    config.threads = sc.threads;
     config.block_bytes = sc.block_bytes;
     if (sc.perturb_lookahead) {
       config.lookahead_override = config.rpc_latency * 4;
@@ -128,35 +153,32 @@ RunResult RunOnce(const Scenario& sc) {
 }
 
 // Everything the physical timeline determines — used to compare runs that
-// differ only in execution schedule. At a fixed shard assignment (pool-size
-// comparison) every counter must match, allocator traffic included. Across
-// *different* groupings the physical counters still must match, but allocs
-// may not: the runtime's own bookkeeping (per-shard outboxes, shard
-// objects) scales with the shard count.
-bool SameTimeline(const RunResult& a, const RunResult& b,
-                  bool ignore_allocs) {
+// differ only in how workers are grouped onto shards. The physical counters
+// must match, but allocs may not: the runtime's own bookkeeping (per-shard
+// outboxes, shard objects) scales with the shard count.
+bool SameTimeline(const RunResult& a, const RunResult& b) {
   if (a.client_bytes != b.client_bytes || a.client_ops != b.client_ops ||
       a.events != b.events) {
     return false;
   }
   Counters ca = a.delta;
   Counters cb = b.delta;
-  if (ignore_allocs) {
-    ca.allocs = 0;
-    cb.allocs = 0;
-  }
+  ca.allocs = 0;
+  cb.allocs = 0;
   return std::memcmp(&ca, &cb, sizeof(Counters)) == 0;
 }
 
 int CheckMode() {
   Scenario sc;
-  sc.nodes = static_cast<int>(EnvInt("SPLITIO_SHARD_NODES", 12));
-  sc.clients_per_group =
-      static_cast<int>(EnvInt("SPLITIO_SHARD_CLIENTS", 2));
-  sc.horizon = Msec(EnvInt("SPLITIO_SHARD_HORIZON_MS", 200));
-  sc.threads = static_cast<int>(EnvInt("SPLITIO_SHARD_THREADS", 1));
-  sc.workers_per_shard =
-      static_cast<int>(EnvInt("SPLITIO_SHARD_GROUPING", 1));
+  int horizon_ms = 0;
+  if (!EnvIntAtLeast("SPLITIO_SHARD_NODES", 12, kReplication, &sc.nodes) ||
+      !EnvIntAtLeast("SPLITIO_SHARD_CLIENTS", 2, 0, &sc.clients_per_group) ||
+      !EnvIntAtLeast("SPLITIO_SHARD_HORIZON_MS", 200, 1, &horizon_ms) ||
+      !EnvIntAtLeast("SPLITIO_SHARD_GROUPING", 1, 1,
+                     &sc.workers_per_shard)) {
+    return 2;
+  }
+  sc.horizon = Msec(horizon_ms);
   sc.perturb_lookahead = EnvInt("SPLITIO_SHARD_PERTURB", 0) != 0;
   if (const char* name = std::getenv("SPLITIO_SHARD_SCHED")) {
     if (!SchedKindFromName(name, &sc.sched)) {
@@ -166,7 +188,7 @@ int CheckMode() {
     }
   }
   // No wall-clock numbers in this mode: the ctest byte-diffs the full
-  // stdout (table and BENCHJSON) across pool sizes.
+  // stdout (table and BENCHJSON) of repeated runs.
   StackCounterScope scope(std::string(SchedName(sc.sched)) + "/sharded");
   RunResult r = RunOnce(sc);
   PrintTitle("Sharded HDFS determinism fingerprint");
@@ -195,42 +217,37 @@ int CheckMode() {
 }
 
 int ScalingMode() {
-  const int nodes = static_cast<int>(EnvInt("SPLITIO_SHARD_NODES", 100));
-  const int clients =
-      static_cast<int>(EnvInt("SPLITIO_SHARD_CLIENTS", 4));
-  const Nanos horizon = Msec(EnvInt("SPLITIO_SHARD_HORIZON_MS", 400));
-  const int hw = static_cast<int>(
-      std::max(1u, std::thread::hardware_concurrency()));
+  int nodes = 0;
+  int clients = 0;
+  int horizon_ms = 0;
+  if (!EnvIntAtLeast("SPLITIO_SHARD_NODES", 100, kReplication, &nodes) ||
+      !EnvIntAtLeast("SPLITIO_SHARD_CLIENTS", 4, 0, &clients) ||
+      !EnvIntAtLeast("SPLITIO_SHARD_HORIZON_MS", 400, 1, &horizon_ms)) {
+    return 2;
+  }
+  const Nanos horizon = Msec(horizon_ms);
 
   PrintTitle("Sharded HDFS write isolation (" + std::to_string(nodes) +
              " workers, 3x replication, " + std::to_string(clients) +
              " capped + " + std::to_string(clients) + " open writers)");
-  std::printf("host cores: %d\n\n", hw);
-  std::printf("%13s %8s %8s %12s %12s %14s %10s\n", "worker-shards",
-              "threads", "epochs", "capped MB/s", "open MB/s", "events/sec",
-              "speedup");
+  std::printf("%13s %8s %12s %12s %14s %10s\n", "worker-shards", "epochs",
+              "capped MB/s", "open MB/s", "events/sec", "speedup");
 
   bool ok = true;
   double seq_eps = 0;
   double best_eps = 0;
   RunResult reference;
-  // Row 1 is the sequential reference (every machine in one shard, one
-  // thread); the remaining rows split the workers across more and more
-  // shards and use every core. The physical timeline must not move.
-  std::vector<std::pair<int, int>> rows;  // (worker shards, threads)
-  rows.emplace_back(1, 1);
-  for (int s = 2; s <= 8; s *= 2) {
-    rows.emplace_back(s, 0);
-  }
-  rows.emplace_back(nodes, 0);  // one DES per node
+  // Row 1 is the reference (every machine in one shard); the remaining rows
+  // split the workers across more and more shards. The physical timeline
+  // must not move.
+  const std::vector<int> rows = {1, 2, 4, 8, nodes};  // last: one per node
   for (size_t row = 0; row < rows.size(); ++row) {
-    const int worker_shards = std::min(rows[row].first, nodes);
+    const int worker_shards = std::min(rows[row], nodes);
     Scenario sc;
     sc.nodes = nodes;
     sc.clients_per_group = clients;
     sc.horizon = horizon;
     sc.workers_per_shard = (nodes + worker_shards - 1) / worker_shards;
-    sc.threads = rows[row].second;
     StackCounterScope scope(std::string(SchedName(sc.sched)) + "/sharded-s" +
                             std::to_string(worker_shards));
     RunResult r = RunOnce(sc);
@@ -241,8 +258,7 @@ int ScalingMode() {
       reference = r;
     }
     best_eps = std::max(best_eps, eps);
-    std::printf("%13d %8d %8llu %12.1f %12.1f %14.0f %9.2fx\n",
-                worker_shards, sc.threads == 0 ? hw : sc.threads,
+    std::printf("%13d %8llu %12.1f %12.1f %14.0f %9.2fx\n", worker_shards,
                 static_cast<unsigned long long>(r.epochs), r.throttled_mbps,
                 r.unthrottled_mbps, eps, seq_eps > 0 ? eps / seq_eps : 0);
     ReportMetric("sharded_eps_s" + std::to_string(worker_shards), eps);
@@ -254,7 +270,7 @@ int ScalingMode() {
     }
     // Grouping invariance: workers only interact through the client shard,
     // so re-sharding must not move the physical timeline.
-    if (row > 0 && !SameTimeline(reference, r, /*ignore_allocs=*/true)) {
+    if (row > 0 && !SameTimeline(reference, r)) {
       std::printf("FAIL: timeline changed between 1 and %d worker shards\n",
                   worker_shards);
       ok = false;
@@ -265,40 +281,6 @@ int ScalingMode() {
   ReportMetric("sharded_unthrottled_mbps", reference.unthrottled_mbps);
   ReportMetric("sharded_speedup",
                seq_eps > 0 ? best_eps / seq_eps : 0);
-
-  // Pool-size determinism spot check (the full matrix lives in the shard
-  // gtest and the check_shard_determinism ctest): same sharding, 1 vs 4
-  // threads, identical timeline and counters required.
-  {
-    Scenario sc;
-    sc.nodes = std::min(nodes, 16);
-    sc.clients_per_group = 2;
-    sc.horizon = Msec(100);
-    RunResult a = RunOnce(sc);
-    sc.threads = 4;
-    RunResult b = RunOnce(sc);
-    if (SameTimeline(a, b, /*ignore_allocs=*/false)) {
-      std::printf("\ndeterminism spot check (1 vs 4 threads): OK\n");
-    } else {
-      std::printf("\nFAIL: 1-thread and 4-thread runs diverged\n");
-      ok = false;
-    }
-  }
-
-  const double speedup_min = static_cast<double>(
-      EnvInt("SPLITIO_SHARD_SPEEDUP_MIN", 0));
-  if (speedup_min > 0) {
-    if (hw < 4) {
-      std::printf("speedup gate skipped: only %d cores\n", hw);
-    } else if (seq_eps <= 0 || best_eps / seq_eps < speedup_min) {
-      std::printf("FAIL: speedup %.2fx below required %.2fx\n",
-                  seq_eps > 0 ? best_eps / seq_eps : 0, speedup_min);
-      ok = false;
-    } else {
-      std::printf("speedup gate: %.2fx >= %.2fx OK\n", best_eps / seq_eps,
-                  speedup_min);
-    }
-  }
   return ok ? 0 : 1;
 }
 

@@ -4,15 +4,11 @@
 // block pipelines. Account tags travel in the client-to-worker RPCs, so
 // each worker's local Split-Token bills the right tenant even though the
 // I/O is performed by server threads. Every worker machine is its own
-// discrete-event simulator (DESIGN.md §11). The shards run on a
-// thread pool (threads = 0 → all cores) synchronized by conservative
-// lookahead equal to the RPC latency, and the result is byte-identical to
-// the sequential run: re-run with SPLITIO_EXAMPLE_THREADS=1 vs =4 and diff
-// the output.
+// discrete-event simulator (DESIGN.md §11); the shards run in line,
+// synchronized by conservative lookahead equal to the RPC latency.
 //
 //   ./build/examples/example_sharded_cluster
 #include <cstdio>
-#include <cstdlib>
 
 #include "src/apps/dfs_sharded.h"
 
@@ -23,10 +19,6 @@ int main() {
   config.workers = 24;  // one DES per worker node + a client shard
   config.replication = 3;
   config.block_bytes = 4ULL << 20;
-  config.threads = 1;
-  if (const char* t = std::getenv("SPLITIO_EXAMPLE_THREADS")) {
-    config.threads = std::atoi(t);
-  }
   ShardedDfs cluster(config);
   cluster.Start();
   cluster.SetAccountLimit(/*dev=*/1, 8.0 * 1024 * 1024);  // per worker
@@ -41,9 +33,9 @@ int main() {
   ShardRunStats rs = cluster.Run(kEnd);
 
   auto mbps = [&](const WorkloadStats& s) { return s.MBps(0, kEnd); };
-  std::printf("shards %d (threads %d): %llu events in %llu epochs, "
+  std::printf("shards %d: %llu events in %llu epochs, "
               "%llu cross-shard messages\n",
-              cluster.shards(), cluster.threads(),
+              cluster.shards(),
               static_cast<unsigned long long>(rs.events),
               static_cast<unsigned long long>(rs.epochs),
               static_cast<unsigned long long>(rs.messages));

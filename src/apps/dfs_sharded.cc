@@ -19,15 +19,14 @@ ShardedDfs::ShardedDfs(const Config& config) : config_(config) {
   gc.shards = 1 + worker_shards;  // shard 0 = clients + NameNode
   gc.lookahead = config.lookahead_override > 0 ? config.lookahead_override
                                                : config.rpc_latency;
-  gc.threads = config.threads;
   group_ = std::make_unique<ShardGroup>(gc);
 
   workers_.reserve(static_cast<size_t>(config.workers));
   for (int w = 0; w < config_.workers; ++w) {
     auto worker = std::make_unique<Worker>();
     worker->shard = ShardOfWorker(w);
-    // Build the machine inside its shard so construction-time activity
-    // (allocations, any scheduling) lands on the shard's ledgers.
+    // Build the machine inside its shard so construction-time scheduling
+    // lands on the shard's simulator.
     group_->Setup(worker->shard, [&]() {
       worker->cpu = std::make_unique<CpuModel>(32);
       StackConfig stack_config = config_.worker_stack;
@@ -42,8 +41,8 @@ ShardedDfs::ShardedDfs(const Config& config) : config_(config) {
 }
 
 ShardedDfs::~ShardedDfs() {
-  // Stacks were built inside their shards; tear them down there too (the
-  // destructor unregisters gauges and frees into the shard's ledgers).
+  // Stacks were built inside their shards; tear them down there too, with
+  // the shard's simulator current.
   for (auto& worker : workers_) {
     group_->Setup(worker->shard, [&]() {
       worker->stack.reset();

@@ -1,5 +1,5 @@
 // ShardedDfs — HDFS-like distributed file system model (§7.3) on the
-// sharded parallel simulator (src/sim/shard.h).
+// sharded simulator (src/sim/shard.h).
 //
 // One NameNode (placement only) and N worker machines. Clients write files
 // in fixed blocks; each block is replicated to a pipeline of three workers.
@@ -10,7 +10,7 @@
 // creat/write/fsync RPC messages across shard boundaries: a request's
 // network latency (fixed RPC latency + wire transfer time) is exactly the
 // conservative lookahead slack the shard runtime synchronizes on, so the
-// cluster parallelizes along its real network edges. bench_fig21_hdfs runs
+// cluster is cut along its real network edges. bench_fig21_hdfs runs
 // the paper's 7-worker figure on it, bench_hdfs_sharded 100-1000 workers.
 //
 // The request carries the *account* to bill, and the worker's server
@@ -55,7 +55,9 @@ class ShardedDfs {
     // negative control for the causality-violation detector.
     Nanos lookahead_override = 0;
     uint64_t seed = 1234;
-    int threads = 1;  // pool size; 0 = all cores (results identical)
+    // Read by nothing: shards always run in line. Kept only because
+    // perfbench/workloads.cc assigns it.
+    int threads = 1;
     SchedKind sched = SchedKind::kSplitToken;
     StackConfig worker_stack;  // per-worker stack template
   };
@@ -81,7 +83,6 @@ class ShardedDfs {
 
   int workers() const { return static_cast<int>(workers_.size()); }
   int shards() const { return group_->size(); }
-  int threads() const { return group_->threads(); }
   const ShardRunStats& stats() const { return group_->stats(); }
 
  private:

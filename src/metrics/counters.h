@@ -64,11 +64,7 @@ struct Counters {
     return d;
   }
 
-  // Field-wise accumulation. The shard runtime (src/sim/shard.cc) captures
-  // each execution slice's delta on whichever pool thread ran it, then folds
-  // the per-shard totals into the owning thread's counters in shard-id order
-  // — integer addition makes the fold exact, so a sharded run's counter
-  // block is byte-identical to the sequential run's.
+  // Field-wise accumulation, e.g. summing the deltas of several runs.
   void Add(const Counters& other) {
 #define SPLITIO_COUNTER_ADD(name) name += other.name;
     SPLITIO_COUNTER_FIELDS(SPLITIO_COUNTER_ADD)

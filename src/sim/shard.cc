@@ -1,9 +1,7 @@
 #include "src/sim/shard.h"
 
 #include <algorithm>
-#include <barrier>
 #include <cassert>
-#include <thread>
 #include <tuple>
 #include <utility>
 
@@ -28,17 +26,16 @@ Task<void> RunClosure(std::function<void()> fn) {
 
 }  // namespace
 
-// Brackets every entry into a shard — scenario setup, an execution slice,
-// or nothing at all for message injection (which only touches the event
-// queue) — so that code running inside the shard sees the shard's simulator
-// as Simulator::current() and its activity lands on the shard's ledgers,
-// regardless of which pool thread executes it.
+// Brackets every entry into a shard: scenario setup, an execution slice,
+// or a destination's message injection. Code running inside sees the
+// shard's simulator as Simulator::current() and draws request ids from the
+// shard's own sequence, so a shard's ids depend on its own activity alone.
 //
 // Telemetry hooks (sample grid, metrics hub, trace listeners) are parked
-// for the duration: they are owned by the coordinator thread and are not
-// safe — or meaningful — to fire from pool threads. The request-id sequence
-// is swapped to the shard's own so IDs are a function of shard activity,
-// not of which thread ran the slice.
+// for the duration, so shard runs are untraced: the metrics grid follows
+// one clock while each shard has its own, and spans would join the wrong
+// transactions, because span building keys a journal transaction by
+// (label, tid) and every node's journal runs under the same label.
 class ShardContext {
  public:
   explicit ShardContext(Shard* s) : shard_(s) {
@@ -53,16 +50,9 @@ class ShardContext {
     obs::g_trace_listener_count = 0;
     prev_request_seq_ = obs::g_request_id_seq;
     obs::g_request_id_seq = s->request_id_seq_;
-    before_ = counters();
   }
 
   ~ShardContext() {
-    // Attribute this slice's counter activity to the shard and put the
-    // thread's counters back exactly as found — pool threads accumulate
-    // nothing of their own, so totals cannot depend on thread placement.
-    Counters delta = counters().Delta(before_);
-    counters() = before_;
-    shard_->counters_.Add(delta);
     shard_->request_id_seq_ = obs::g_request_id_seq;
     obs::g_request_id_seq = prev_request_seq_;
     obs::g_trace_listener_count = prev_listeners_;
@@ -83,7 +73,6 @@ class ShardContext {
   obs::MetricsHub* prev_hub_;
   int prev_listeners_;
   uint64_t prev_request_seq_;
-  Counters before_;
 };
 
 ShardGroup::ShardGroup(const Config& config) : config_(config) {
@@ -96,17 +85,6 @@ ShardGroup::ShardGroup(const Config& config) : config_(config) {
 }
 
 ShardGroup::~ShardGroup() = default;
-
-int ShardGroup::threads() const {
-  int n = config_.threads;
-  if (n <= 0) {
-    n = static_cast<int>(std::thread::hardware_concurrency());
-    if (n < 1) {
-      n = 1;
-    }
-  }
-  return std::min(n, size());
-}
 
 Shard* ShardGroup::Current() { return g_current_shard; }
 
@@ -148,13 +126,21 @@ Nanos ShardGroup::NextEventTime() const {
   return t;
 }
 
+uint64_t ShardGroup::EventsProcessed() const {
+  uint64_t n = 0;
+  for (const auto& s : shards_) {
+    n += s->sim_.events_processed();
+  }
+  return n;
+}
+
 void ShardGroup::Exchange(ShardRunStats* rs) {
   // Deterministic merge: gather every outbox's envelopes, sort them by
   // (destination, deliver_time, sending node, source seq), and inject each
   // destination's run inside one context, destinations in shard-id order.
   // The injection order fixes the (time, seq) positions the messages occupy
   // in the destination event queue, so the merged schedule is a pure
-  // function of the messages — independent of pool size and thread timing.
+  // function of the messages.
   // Keying ties on the sending node rather than on its shard keeps the
   // order the same for any grouping of nodes onto shards: a node's own
   // sends stay in send order (one shard, increasing seq), and different
@@ -188,114 +174,37 @@ void ShardGroup::Exchange(ShardRunStats* rs) {
 
 ShardRunStats ShardGroup::Run(Nanos until) {
   ShardRunStats rs;
-  // The coordinator's own counter activity (pool machinery, exchange-time
-  // allocations) depends on the thread count, so it must not leak into the
-  // caller's totals: snapshot here, restore before folding shard deltas.
-  Counters outer_before = counters();
-  std::vector<uint64_t> events_before(shards_.size());
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    events_before[i] = shards_[i]->sim_.events_processed();
-  }
-
-  const int nthreads = threads();
-  const Nanos lookahead = config_.lookahead;
+  const uint64_t events_before = EventsProcessed();
 
   // Messages sent during Setup (before any epoch ran) are still parked in
   // the outboxes; deliver them first or an otherwise-idle group would
   // terminate without ever running them.
   Exchange(&rs);
 
-  // Shared epoch state, written by the coordinator between barrier phases
-  // (the barrier's synchronization orders those writes against the workers'
-  // reads — no atomics needed for horizon_).
-  Nanos horizon = 0;
-  bool stop = false;
-
-  auto epoch_plan = [&]() -> bool {
-    // Returns false when the run is over; otherwise sets `horizon` to this
-    // epoch's inclusive slice bound.
+  for (;;) {
     Nanos t = NextEventTime();
     if (t == kNanosMax || t > until) {
-      return false;
+      break;
     }
     // Conservative window [t, t+L): no shard can receive a message it does
     // not already hold. Slices are inclusive, so the bound is t+L-1,
     // clamped to the caller's horizon.
-    Nanos bound = t;
-    if (lookahead < kNanosMax - t) {
-      bound = t + lookahead - 1;
-    } else {
-      bound = kNanosMax - 1;
+    Nanos bound = config_.lookahead < kNanosMax - t
+                      ? t + config_.lookahead - 1
+                      : kNanosMax - 1;
+    Nanos horizon = std::min(bound, until);
+    ++rs.epochs;
+    for (auto& s : shards_) {
+      RunSlice(*s, horizon);
     }
-    horizon = std::min(bound, until);
-    return true;
-  };
-
-  if (nthreads <= 1) {
-    while (epoch_plan()) {
-      ++rs.epochs;
-      for (auto& s : shards_) {
-        RunSlice(*s, horizon);
-      }
-      Exchange(&rs);
-    }
-  } else {
-    // Static shard→worker assignment (shard i on worker i % nthreads): the
-    // partition is a function of the configuration alone, and each shard's
-    // slice is independent of every other shard's during an epoch, so the
-    // schedule each shard executes is identical to the sequential loop
-    // above. Workers run their shards in increasing id order — not for
-    // determinism (any order works) but to keep the access pattern tame.
-    //
-    // Synchronization: one std::barrier, two phases per epoch. Phase A
-    // releases the workers into their slices after the coordinator has
-    // planned the epoch (or set `stop`); phase B hands control back to the
-    // coordinator for the exchange once every slice is done. The barrier's
-    // phase transitions give the necessary happens-before edges for
-    // `horizon`/`stop` and for the shard state itself.
-    std::barrier<> gate(nthreads + 1);
-    std::vector<std::thread> workers;
-    workers.reserve(static_cast<size_t>(nthreads));
-    for (int w = 0; w < nthreads; ++w) {
-      workers.emplace_back([&, w]() {
-        for (;;) {
-          gate.arrive_and_wait();  // phase A: epoch planned
-          if (stop) {
-            return;
-          }
-          for (int i = w; i < size(); i += nthreads) {
-            RunSlice(*shards_[static_cast<size_t>(i)], horizon);
-          }
-          gate.arrive_and_wait();  // phase B: slices done
-        }
-      });
-    }
-    while (epoch_plan()) {
-      ++rs.epochs;
-      gate.arrive_and_wait();  // phase A
-      gate.arrive_and_wait();  // phase B
-      Exchange(&rs);
-    }
-    stop = true;
-    gate.arrive_and_wait();  // phase A: release workers into exit
-    for (auto& th : workers) {
-      th.join();
-    }
+    Exchange(&rs);
   }
 
-  // Fold: discard the coordinator's own activity, then add each shard's
-  // accumulated delta in shard-id order. Integer addition in a fixed order
-  // makes the result exact and identical for any pool size.
-  counters() = outer_before;
   for (auto& s : shards_) {
-    counters().Add(s->counters_);
-    s->counters_ = Counters{};
     rs.causality_violations += s->violations_;
     s->violations_ = 0;
   }
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    rs.events += shards_[i]->sim_.events_processed() - events_before[i];
-  }
+  rs.events = EventsProcessed() - events_before;
 
   stats_.epochs += rs.epochs;
   stats_.messages += rs.messages;

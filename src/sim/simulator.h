@@ -58,7 +58,7 @@ class Simulator {
   // Replaces the thread's current simulator and returns the previous one
   // (either may be null). The shard runtime brackets every execution slice
   // with a swap pair so that code running inside a shard sees the shard's
-  // simulator as `current()` on whichever pool thread executes it.
+  // simulator as `current()`.
   static Simulator* SwapCurrent(Simulator* sim);
 
   Nanos Now() const { return now_; }

@@ -1,9 +1,10 @@
 # Sharded-simulation determinism check: the bench binary's deterministic
 # mode (SPLITIO_SHARD_CHECK=1) must produce byte-identical output — client
 # tables, shard-runtime stats, and the BENCHJSON line with its counter
-# totals — for every thread-pool size at a fixed shard assignment. Also
-# runs the negative control: a lookahead perturbed past the real RPC
-# latency must be reported as causality violations and fail the run.
+# totals — when the same configuration runs twice, at two groupings of the
+# workers onto shards. Also runs the negative control: a lookahead perturbed
+# past the real RPC latency must be reported as causality violations and
+# fail the run.
 # Invoked by ctest; pass -DBENCH=<path-to-bench_hdfs_sharded>.
 if(NOT DEFINED BENCH)
   message(FATAL_ERROR "pass -DBENCH=<path to bench_hdfs_sharded>")
@@ -15,20 +16,17 @@ set(base_env ASAN_OPTIONS=detect_leaks=0 SPLITIO_SHARD_CHECK=1
     SPLITIO_SHARD_NODES=12 SPLITIO_SHARD_CLIENTS=2
     SPLITIO_SHARD_HORIZON_MS=200)
 
-# Pool-size sweep at one-node-per-shard, then again at a coarser grouping:
-# within each grouping every pool size must match the sequential run byte
-# for byte.
+# One node per shard, then a coarser grouping: within each grouping two
+# runs must match byte for byte.
 foreach(grouping 1 3)
   set(reference "")
-  foreach(threads 1 2 4)
+  foreach(run 1 2)
     execute_process(COMMAND ${CMAKE_COMMAND} -E env ${base_env}
                     SPLITIO_SHARD_GROUPING=${grouping}
-                    SPLITIO_SHARD_THREADS=${threads}
                     ${BENCH} --seed 123
                     OUTPUT_VARIABLE out RESULT_VARIABLE rc)
     if(NOT rc EQUAL 0)
-      message(FATAL_ERROR
-              "grouping=${grouping} threads=${threads} exited ${rc}")
+      message(FATAL_ERROR "grouping=${grouping} run ${run} exited ${rc}")
     endif()
     string(REGEX MATCH "BENCHJSON [^\n]*" json "${out}")
     if(json STREQUAL "")
@@ -37,8 +35,8 @@ foreach(grouping 1 3)
     if(reference STREQUAL "")
       set(reference "${out}")
     elseif(NOT out STREQUAL reference)
-      message(FATAL_ERROR "output differs from the sequential run at "
-              "grouping=${grouping} threads=${threads}")
+      message(FATAL_ERROR "output differs between two runs at "
+              "grouping=${grouping}")
     endif()
   endforeach()
 endforeach()
@@ -55,5 +53,5 @@ string(FIND "${out}" "causality violations" viol_pos)
 if(viol_pos EQUAL -1)
   message(FATAL_ERROR "perturbed run failed without naming violations")
 endif()
-message(STATUS "sharded runs byte-identical across pool sizes; "
+message(STATUS "sharded runs byte-identical run to run; "
         "perturbed lookahead caught")

@@ -1,13 +1,13 @@
-// Sharded parallel simulation (src/sim/shard.h): the conservative epoch
-// protocol must deliver cross-shard messages at their timestamps in a
-// deterministic order, count causality violations, fold per-shard counters
-// exactly — and, above all, produce a byte-identical physical timeline for
-// every thread-pool size at a fixed shard assignment, and the same timeline
-// for any grouping of the cluster's nodes onto shards. The matrix test
-// sweeps shard groupings x schedulers x seeds on the sharded DFS cluster;
-// the check_shard_determinism ctest repeats the comparison over full
-// process output (tables + BENCHJSON) through the bench binary.
+// Sharded simulation (src/sim/shard.h): the conservative epoch protocol
+// must deliver cross-shard messages at their timestamps in a deterministic
+// order, count causality violations, land shard activity in the caller's
+// counters as it happens — and, above all, simulate the same timeline for
+// any grouping of the cluster's nodes onto shards. The matrix test sweeps
+// shard groupings x schedulers x seeds on the sharded DFS cluster; the
+// check_shard_determinism ctest byte-compares repeated runs' full process
+// output (tables + BENCHJSON) through the bench binary.
 #include <cstring>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -41,57 +41,45 @@ TEST(ShardGroup, DeliversSetupSendsWithoutAnyLocalEvents) {
   EXPECT_EQ(rs.causality_violations, 0u);
 }
 
-// Two shards bounce a message back and forth; every pool size must execute
-// the identical timeline: delivery times advance by exactly the one-way
-// latency, and the epoch/message/event totals match the sequential run.
-TEST(ShardGroup, PingPongIdenticalAcrossPoolSizes) {
+// Two shards bounce a message back and forth: delivery times advance by
+// exactly the one-way latency, one epoch and one wake-up per hop.
+TEST(ShardGroup, PingPongAdvancesOneHopPerEpoch) {
   constexpr int kRounds = 64;
   constexpr Nanos kHop = Usec(10);
-  std::vector<Nanos> reference;
-  ShardRunStats reference_stats;
-  for (int threads : {1, 2, 3}) {
-    ShardGroup::Config gc;
-    gc.shards = 2;
-    gc.lookahead = kHop;
-    gc.threads = threads;
-    ShardGroup group(gc);
-    std::vector<Nanos> arrivals;
-    int hops = 0;
-    // The handler re-sends to the peer until kRounds hops happened. It runs
-    // inside whichever shard the message addressed, so Current() resolves
-    // and Send is legal.
-    std::function<void()> bounce = [&]() {
-      arrivals.push_back(Simulator::current().Now());
-      if (++hops >= kRounds) {
-        return;
-      }
-      int self = ShardGroup::Current()->id();
-      group.Send(self, 1 - self, Simulator::current().Now() + kHop, bounce);
-    };
-    group.Setup(0, [&]() { group.Send(0, 1, kHop, bounce); });
-    ShardRunStats rs = group.Run();
-    ASSERT_EQ(arrivals.size(), static_cast<size_t>(kRounds));
-    for (int i = 0; i < kRounds; ++i) {
-      EXPECT_EQ(arrivals[static_cast<size_t>(i)], kHop * (i + 1));
+  ShardGroup::Config gc;
+  gc.shards = 2;
+  gc.lookahead = kHop;
+  ShardGroup group(gc);
+  std::vector<Nanos> arrivals;
+  int hops = 0;
+  // The handler re-sends to the peer until kRounds hops happened. It runs
+  // inside whichever shard the message addressed, so Current() resolves and
+  // Send is legal.
+  std::function<void()> bounce = [&]() {
+    arrivals.push_back(Simulator::current().Now());
+    if (++hops >= kRounds) {
+      return;
     }
-    EXPECT_EQ(rs.messages, static_cast<uint64_t>(kRounds));
-    EXPECT_EQ(rs.causality_violations, 0u);
-    if (threads == 1) {
-      reference = arrivals;
-      reference_stats = rs;
-    } else {
-      EXPECT_EQ(arrivals, reference);
-      EXPECT_EQ(rs.epochs, reference_stats.epochs);
-      EXPECT_EQ(rs.events, reference_stats.events);
-    }
+    int self = ShardGroup::Current()->id();
+    group.Send(self, 1 - self, Simulator::current().Now() + kHop, bounce);
+  };
+  group.Setup(0, [&]() { group.Send(0, 1, kHop, bounce); });
+  ShardRunStats rs = group.Run();
+  ASSERT_EQ(arrivals.size(), static_cast<size_t>(kRounds));
+  for (int i = 0; i < kRounds; ++i) {
+    EXPECT_EQ(arrivals[static_cast<size_t>(i)], kHop * (i + 1));
   }
+  EXPECT_EQ(rs.messages, static_cast<uint64_t>(kRounds));
+  EXPECT_EQ(rs.causality_violations, 0u);
+  EXPECT_EQ(rs.epochs, static_cast<uint64_t>(kRounds));
+  EXPECT_EQ(rs.events, static_cast<uint64_t>(kRounds));
 }
 
 // Same-epoch ties: messages from different source shards (one node each,
 // node id = shard id) landing at the same destination timestamp must
-// execute in (deliver_time, sending node, src seq) order, not pool-arrival
-// order — also when every source interleaves sends to several destinations
-// (itself included) at out-of-order times.
+// execute in (deliver_time, sending node, src seq) order, not in the order
+// the sources were set up — also when every source interleaves sends to
+// several destinations (itself included) at out-of-order times.
 TEST(ShardGroup, TieBreakBySourceShardThenSeq) {
   struct Msg {
     int dst;
@@ -100,33 +88,29 @@ TEST(ShardGroup, TieBreakBySourceShardThenSeq) {
   // Send k of source s is logged as s * 100 + k at its destination.
   const Msg kSends[] = {{0, Usec(30)}, {2, Usec(10)}, {0, Usec(10)},
                         {2, Usec(10)}, {0, Usec(10)}, {3, Usec(20)}};
-  for (int threads : {1, 4}) {
-    ShardGroup::Config gc;
-    gc.shards = 4;
-    gc.lookahead = Usec(10);
-    gc.threads = threads;
-    ShardGroup group(gc);
-    // One log per destination: each is written only by its own shard.
-    std::vector<std::vector<int>> log(4);
-    for (int src : {3, 1, 2}) {  // deliberately not in id order
-      group.Setup(src, [&, src]() {
-        for (int k = 0; k < 6; ++k) {
-          const Msg& s = kSends[k];
-          group.Send(src, s.dst, s.at, [&log, s, label = src * 100 + k]() {
-            EXPECT_EQ(Simulator::current().Now(), s.at);
-            log[static_cast<size_t>(s.dst)].push_back(label);
-          });
-        }
-      });
-    }
-    ShardRunStats rs = group.Run();
-    EXPECT_EQ(rs.messages, 18u);
-    EXPECT_EQ(log[0], (std::vector<int>{102, 104, 202, 204, 302, 304, 100,
-                                        200, 300}));
-    EXPECT_TRUE(log[1].empty());
-    EXPECT_EQ(log[2], (std::vector<int>{101, 103, 201, 203, 301, 303}));
-    EXPECT_EQ(log[3], (std::vector<int>{105, 205, 305}));
+  ShardGroup::Config gc;
+  gc.shards = 4;
+  gc.lookahead = Usec(10);
+  ShardGroup group(gc);
+  std::vector<std::vector<int>> log(4);  // one log per destination
+  for (int src : {3, 1, 2}) {  // deliberately not in id order
+    group.Setup(src, [&, src]() {
+      for (int k = 0; k < 6; ++k) {
+        const Msg& s = kSends[k];
+        group.Send(src, s.dst, s.at, [&log, s, label = src * 100 + k]() {
+          EXPECT_EQ(Simulator::current().Now(), s.at);
+          log[static_cast<size_t>(s.dst)].push_back(label);
+        });
+      }
+    });
   }
+  ShardRunStats rs = group.Run();
+  EXPECT_EQ(rs.messages, 18u);
+  EXPECT_EQ(log[0],
+            (std::vector<int>{102, 104, 202, 204, 302, 304, 100, 200, 300}));
+  EXPECT_TRUE(log[1].empty());
+  EXPECT_EQ(log[2], (std::vector<int>{101, 103, 201, 203, 301, 303}));
+  EXPECT_EQ(log[3], (std::vector<int>{105, 205, 305}));
 }
 
 // Ties are broken by the sending node, not by the shard hosting it: two
@@ -171,9 +155,8 @@ TEST(ShardGroup, CountsCausalityViolations) {
   EXPECT_EQ(rs.causality_violations, 1u);
 }
 
-// The whole-cluster fingerprint the determinism matrix compares: per-client
-// application results, total events, and the exact counter delta of the
-// run (allocs included — satellite: BENCHJSON totals must match).
+// A whole-cluster fingerprint: per-client application results, total
+// events, and the exact counter delta of the run (allocs included).
 struct Fingerprint {
   std::vector<uint64_t> bytes;
   std::vector<uint64_t> ops;
@@ -219,39 +202,48 @@ Fingerprint RunDfs(const ShardedDfs::Config& config, int clients_per_group,
   return fp;
 }
 
+// Runs whose nodes are grouped onto shards differently must simulate the
+// same timeline: client results, events and every counter but allocs (shard
+// objects and outboxes scale with the shard count).
+void ExpectSameTimeline(Fingerprint a, Fingerprint b, const std::string& what) {
+  a.delta.allocs = 0;
+  b.delta.allocs = 0;
+  EXPECT_EQ(a.bytes, b.bytes) << what;
+  EXPECT_EQ(a.ops, b.ops) << what;
+  EXPECT_EQ(a.events, b.events) << what;
+  EXPECT_EQ(a.violations, b.violations) << what;
+#define SPLITIO_EXPECT_SAME_COUNTER(name) \
+  EXPECT_EQ(a.delta.name, b.delta.name) << #name << " " << what;
+  SPLITIO_COUNTER_FIELDS(SPLITIO_EXPECT_SAME_COUNTER)
+#undef SPLITIO_EXPECT_SAME_COUNTER
+}
+
 Fingerprint RunCluster(SchedKind sched, uint64_t seed, int workers_per_shard,
-                       int threads, Nanos lookahead_override = 0) {
+                       Nanos lookahead_override = 0) {
   ShardedDfs::Config config;
   config.workers = 9;
   config.workers_per_shard = workers_per_shard;
   config.block_bytes = 2ULL << 20;
   config.sched = sched;
   config.seed = seed;
-  config.threads = threads;
   config.lookahead_override = lookahead_override;
   return RunDfs(config, /*clients_per_group=*/2, Msec(150));
 }
 
-// The headline guarantee: at a fixed shard assignment, the sharded DFS
-// cluster produces the identical physical timeline AND identical counter
-// totals for every pool size — across shard groupings (one node per shard
-// vs several), schedulers (split, legacy, token), and seeds.
-TEST(ShardedDfs, ParallelMatchesSequentialAcrossGroupingsSchedsSeeds) {
-  const SchedKind kinds[] = {SchedKind::kSplitToken, SchedKind::kCfq,
-                             SchedKind::kSplitDeadline};
-  const uint64_t seeds[] = {1234, 99991};
-  for (SchedKind sched : kinds) {
-    for (uint64_t seed : seeds) {
-      for (int grouping : {1, 4}) {  // 10 shards vs 4 (9 workers + clients)
-        Fingerprint seq = RunCluster(sched, seed, grouping, /*threads=*/1);
-        EXPECT_EQ(seq.violations, 0u);
-        EXPECT_GT(seq.events, 0u);
-        for (int threads : {2, 4}) {
-          Fingerprint par = RunCluster(sched, seed, grouping, threads);
-          EXPECT_TRUE(par == seq)
-              << "sched=" << SchedName(sched) << " seed=" << seed
-              << " grouping=" << grouping << " threads=" << threads;
-        }
+// The headline guarantee: the sharded DFS cluster simulates the same
+// timeline whether its 9 workers sit on 9, 3 or 1 worker shards, for every
+// scheduler and seed.
+TEST(ShardedDfs, SameTimelineAcrossGroupingsSchedsSeeds) {
+  for (SchedKind sched : kAllSchedKinds) {
+    for (uint64_t seed : {1234u, 99991u}) {
+      Fingerprint spread = RunCluster(sched, seed, /*workers_per_shard=*/1);
+      EXPECT_EQ(spread.violations, 0u);
+      EXPECT_GT(spread.events, 0u);
+      for (int grouping : {4, 9}) {
+        ExpectSameTimeline(RunCluster(sched, seed, grouping), spread,
+                           std::string("sched=") + SchedName(sched) +
+                               " seed=" + std::to_string(seed) +
+                               " grouping=" + std::to_string(grouping));
       }
     }
   }
@@ -273,22 +265,14 @@ TEST(ShardedDfs, TimelineIndependentOfWorkerGrouping) {
   config.workers_per_shard = 3;
   Fingerprint shared = RunDfs(config, /*clients_per_group=*/8, Sec(2));
   EXPECT_EQ(spread.violations, 0u);
-  EXPECT_EQ(shared.violations, 0u);
-  EXPECT_EQ(shared.bytes, spread.bytes);
-  EXPECT_EQ(shared.ops, spread.ops);
-  EXPECT_EQ(shared.events, spread.events);
-  shared.delta.allocs = spread.delta.allocs;
-#define SPLITIO_EXPECT_SAME_COUNTER(name) \
-  EXPECT_EQ(shared.delta.name, spread.delta.name) << #name;
-  SPLITIO_COUNTER_FIELDS(SPLITIO_EXPECT_SAME_COUNTER)
-#undef SPLITIO_EXPECT_SAME_COUNTER
+  ExpectSameTimeline(shared, spread, "3 workers on 1 shard vs 3");
 }
 
 // Re-running the same configuration twice in one process must also agree —
 // no state bleeds across ShardedDfs instances.
 TEST(ShardedDfs, RepeatRunsAreIdentical) {
-  Fingerprint a = RunCluster(SchedKind::kSplitToken, 7, 1, 2);
-  Fingerprint b = RunCluster(SchedKind::kSplitToken, 7, 1, 2);
+  Fingerprint a = RunCluster(SchedKind::kSplitToken, 7, 1);
+  Fingerprint b = RunCluster(SchedKind::kSplitToken, 7, 1);
   EXPECT_TRUE(a == b);
 }
 
@@ -297,36 +281,61 @@ TEST(ShardedDfs, RepeatRunsAreIdentical) {
 // counter (the determinism ctest asserts the same through the bench CLI).
 TEST(ShardedDfs, PerturbedLookaheadIsCaught) {
   Fingerprint fp =
-      RunCluster(SchedKind::kSplitToken, 1234, 1, /*threads=*/1,
+      RunCluster(SchedKind::kSplitToken, 1234, 1,
                  /*lookahead_override=*/Usec(200));
   EXPECT_GT(fp.violations, 0u);
 }
 
-// Counter-fold soundness in isolation: shard activity must land in the
-// calling thread's counters (in shard-id order), and the pool machinery's
-// own footprint must not.
+// Shard activity lands in the calling thread's counters.
 TEST(ShardGroup, FoldsShardCountersIntoCaller) {
-  for (int threads : {1, 3}) {
-    Counters before = counters();
-    ShardGroup::Config gc;
-    gc.shards = 3;
-    gc.lookahead = Usec(10);
-    gc.threads = threads;
-    ShardGroup group(gc);
-    for (int i = 0; i < 3; ++i) {
-      group.Setup(i, [&]() {
-        Simulator::current().Spawn([]() -> Task<void> {
-          for (int k = 0; k < 5; ++k) {
-            co_await Delay(Usec(3));
-          }
-        }());
-      });
-    }
-    group.Run();
-    Counters delta = counters().Delta(before);
-    // 3 shards x (1 spawn + 5 delays) = 18 wake-ups, every pool size.
-    EXPECT_EQ(delta.sim_events, 18u);
+  Counters before = counters();
+  ShardGroup::Config gc;
+  gc.shards = 3;
+  gc.lookahead = Usec(10);
+  ShardGroup group(gc);
+  for (int i = 0; i < 3; ++i) {
+    group.Setup(i, [&]() {
+      Simulator::current().Spawn([]() -> Task<void> {
+        for (int k = 0; k < 5; ++k) {
+          co_await Delay(Usec(3));
+        }
+      }());
+    });
   }
+  group.Run();
+  Counters delta = counters().Delta(before);
+  // 3 shards x (1 spawn + 5 delays) = 18 wake-ups.
+  EXPECT_EQ(delta.sim_events, 18u);
+}
+
+// Sanitizer runtimes replace the counting operator new; allocs stays put.
+bool AllocsAreCounted() {
+  const uint64_t before = counters().allocs;
+  void* p = ::operator new(1);
+  ::operator delete(p);
+  return counters().allocs > before;
+}
+
+// Counter activity inside Setup lands in the caller's counters when it
+// happens, not at the next Run: a spawn's same-time wake-up and its
+// coroutine frame count before any epoch runs.
+TEST(ShardGroup, SetupCountersLandWhenTheyHappen) {
+  ShardGroup::Config gc;
+  gc.shards = 2;
+  ShardGroup group(gc);
+  const Counters before = counters();
+  group.Setup(1, [&]() {
+    Simulator::current().Spawn([]() -> Task<void> {
+      co_await Delay(Usec(3));
+    }());
+  });
+  Counters delta = counters().Delta(before);
+  EXPECT_EQ(delta.sim_immediate, 1u);
+  if (AllocsAreCounted()) {
+    EXPECT_GT(delta.allocs, 0u);
+  }
+  EXPECT_EQ(group.stats().epochs, 0u);
+  group.Run();
 }
 
 }  // namespace
