@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 
 #include "src/sched/composed.h"
 #include "src/sim/random.h"
@@ -10,8 +12,18 @@
 namespace splitio {
 
 ShardedDfs::ShardedDfs(const Config& config) : config_(config) {
-  assert(config.workers >= config.replication);
-  assert(config.workers_per_shard >= 1);
+  // Checked in every build type: fewer workers than replicas would spin
+  // PlaceBlock forever, and a zero grouping divides by zero below.
+  if (config.workers < config.replication) {
+    std::fprintf(stderr, "ShardedDfs: workers = %d is below replication = %d\n",
+                 config.workers, config.replication);
+    std::abort();
+  }
+  if (config.workers_per_shard < 1) {
+    std::fprintf(stderr, "ShardedDfs: workers_per_shard = %d is below 1\n",
+                 config.workers_per_shard);
+    std::abort();
+  }
   const int worker_shards =
       (config.workers + config.workers_per_shard - 1) /
       config.workers_per_shard;

@@ -83,7 +83,6 @@ class PageCache {
 
   void set_hooks(PageCacheHooks* hooks) { hooks_ = hooks; }
   const Config& config() const { return config_; }
-  void set_dirty_ratio(double ratio) { config_.dirty_ratio = ratio; }
   // Before StartWritebackDaemon: the daemon will not start.
   void DisableWritebackDaemon() { config_.writeback_daemon = false; }
 

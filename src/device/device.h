@@ -131,7 +131,6 @@ class BlockDevice {
   // Enables the volatile write cache: writes become durable only at Flush().
   // Off by default — every write is durable on completion, nothing tracked.
   void set_volatile_cache(bool on) { volatile_cache_ = on; }
-  bool volatile_cache() const { return volatile_cache_; }
 
   // Sequence number of the most recently completed write (0 = none yet).
   uint64_t last_write_seq() const { return write_seq_; }

@@ -1,13 +1,44 @@
 #include "src/fault/crash_monitor.h"
 
+#include <algorithm>
+
+#include "src/sim/random.h"
 #include "src/sim/simulator.h"
 
 namespace splitio {
 
-CrashMonitor::CrashMonitor(BlockLayer* block, BlockDevice* device)
-    : device_(device) {
-  block->add_completion_hook(
+void ConfigureCrashMode(StackConfig* config, bool durability_barriers) {
+  config->volatile_write_cache = true;
+  config->layout.durability_barriers = durability_barriers;
+  config->journal.commit_interval = Sec(1);
+  config->hdd.flush_latency = Usec(500);
+  config->ssd.flush_latency = Usec(100);
+}
+
+std::vector<Nanos> RandomCrashTimes(uint64_t seed, Nanos horizon, int count) {
+  std::vector<Nanos> times;
+  Rng rng(seed ^ 0x9e3779b97f4a7c15ULL);
+  Nanos lo = horizon / 4;
+  for (int i = 0; i < count; ++i) {
+    times.push_back(lo + static_cast<Nanos>(rng.Below(
+                             static_cast<uint64_t>(horizon - lo))));
+  }
+  std::sort(times.begin(), times.end());
+  times.erase(std::unique(times.begin(), times.end()), times.end());
+  return times;
+}
+
+CrashMonitor::CrashMonitor(StorageStack& stack) : device_(&stack.device()) {
+  stack.block().add_completion_hook(
       [this](const BlockRequest& req) { OnBlockComplete(req); });
+  if (Ext4Sim* ext4 = stack.ext4()) {
+    ext4->journal().set_commit_hook(
+        [this](uint64_t tid, const std::vector<int64_t>& ordered) {
+          OnCommit(tid, ordered);
+        });
+  }
+  stack.kernel().set_fsync_observer(
+      [this](Process&, int64_t ino, int result) { OnFsync(ino, result); });
 }
 
 void CrashMonitor::OnBlockComplete(const BlockRequest& req) {
@@ -44,35 +75,42 @@ void CrashMonitor::SampleOnJournalRecord(FaultInjector* injector,
   record_images_max_ = max_images;
 }
 
-void CrashMonitor::AttachJournal(Jbd2Journal* journal) {
-  journal->set_commit_hook(
-      [this](uint64_t tid, const std::vector<int64_t>& ordered) {
-        CommitPoint point;
-        point.tid = tid;
-        for (int64_t ino : ordered) {
-          auto it = inode_events_.find(ino);
-          if (it == inode_events_.end()) {
-            continue;
-          }
-          point.dep_events.insert(point.dep_events.end(), it->second.begin(),
-                                  it->second.end());
-        }
-        commits_.push_back(std::move(point));
-      });
+Task<void> CrashMonitor::SampleAtTimes(FaultInjector* injector,
+                                       std::vector<Nanos> times,
+                                       std::vector<CrashImage>* out) {
+  Nanos last = 0;
+  for (Nanos when : times) {
+    co_await Delay(when - last);
+    last = when;
+    out->push_back(Snapshot(injector->crash_rng(), injector->config()));
+  }
 }
 
-void CrashMonitor::AttachKernel(OsKernel* kernel) {
-  kernel->set_fsync_observer([this](Process&, int64_t ino, int result) {
-    FsyncAck ack;
-    ack.ino = ino;
-    ack.result = result;
-    ack.when = Simulator::current().Now();
+void CrashMonitor::OnCommit(uint64_t tid,
+                            const std::vector<int64_t>& ordered) {
+  CommitPoint point;
+  point.tid = tid;
+  for (int64_t ino : ordered) {
     auto it = inode_events_.find(ino);
-    if (it != inode_events_.end()) {
-      ack.dep_events = it->second;
+    if (it == inode_events_.end()) {
+      continue;
     }
-    acks_.push_back(std::move(ack));
-  });
+    point.dep_events.insert(point.dep_events.end(), it->second.begin(),
+                            it->second.end());
+  }
+  commits_.push_back(std::move(point));
+}
+
+void CrashMonitor::OnFsync(int64_t ino, int result) {
+  FsyncAck ack;
+  ack.ino = ino;
+  ack.result = result;
+  ack.when = Simulator::current().Now();
+  auto it = inode_events_.find(ino);
+  if (it != inode_events_.end()) {
+    ack.dep_events = it->second;
+  }
+  acks_.push_back(std::move(ack));
 }
 
 const std::vector<size_t>* CrashMonitor::EventsOf(int64_t ino) const {

@@ -30,11 +30,10 @@
 #include <unordered_set>
 #include <vector>
 
-#include "src/block/block_layer.h"
+#include "src/core/storage_stack.h"
 #include "src/fault/fault_injector.h"
-#include "src/fs/journal.h"
+#include "src/sim/task.h"
 #include "src/sim/time.h"
-#include "src/syscall/kernel.h"
 
 namespace splitio {
 
@@ -85,16 +84,23 @@ struct CrashImage {
   }
 };
 
+// The stack knobs crash exploration runs with (RunCrashSweep, the stress
+// executor's crash mode): durability is earned through barriers against a
+// volatile write cache, journals commit every second, and flushes carry a
+// visible but modest cost so barrier traffic exercises the elevators.
+// Barriers off is itself an ordering bug the checker should flag.
+void ConfigureCrashMode(StackConfig* config, bool durability_barriers);
+
+// `count` random crash times over the middle and tail of [0, horizon) (the
+// first quarter is warm-up: files being created, first transactions
+// forming), drawn from `seed`, sorted, duplicates dropped.
+std::vector<Nanos> RandomCrashTimes(uint64_t seed, Nanos horizon, int count);
+
 class CrashMonitor {
  public:
-  // Installs a completion hook on `block`. Neither pointer is owned; the
-  // monitor must outlive the simulation.
-  CrashMonitor(BlockLayer* block, BlockDevice* device);
-
-  // Records commit-record data dependencies (ext4 stacks).
-  void AttachJournal(Jbd2Journal* journal);
-  // Records fsync acknowledgments at the syscall boundary.
-  void AttachKernel(OsKernel* kernel);
+  // Installs the taps on `stack` (the commit hook on ext4 stacks only).
+  // The monitor must outlive the simulation.
+  explicit CrashMonitor(StorageStack& stack);
 
   // Adversarial crash points: snapshot into `out` the instant each journal
   // record completes — the record is on media but no post-record flush has
@@ -102,6 +108,11 @@ class CrashMonitor {
   // commit without its data. Caps at `max_images` to bound checker work.
   void SampleOnJournalRecord(FaultInjector* injector,
                              std::vector<CrashImage>* out, size_t max_images);
+
+  // Random crash points: snapshots into `out` at each of `times` (sorted,
+  // absolute), from `injector`'s crash stream. Spawn it as a root task.
+  Task<void> SampleAtTimes(FaultInjector* injector, std::vector<Nanos> times,
+                           std::vector<CrashImage>* out);
 
   // Freezes a crash image at the current simulated time. `rng` should be
   // the fault model's dedicated crash stream (FaultInjector::crash_rng()).
@@ -116,6 +127,8 @@ class CrashMonitor {
 
  private:
   void OnBlockComplete(const BlockRequest& req);
+  void OnCommit(uint64_t tid, const std::vector<int64_t>& ordered);
+  void OnFsync(int64_t ino, int result);
 
   BlockDevice* device_;
   FaultInjector* record_sampler_ = nullptr;

@@ -75,18 +75,6 @@ Task<void> DbWriter(OsKernel& kernel, Process& proc, int64_t ino,
   }
 }
 
-Task<void> CrashSampler(CrashMonitor& monitor, FaultInjector& injector,
-                        std::vector<Nanos> times,
-                        std::vector<CrashImage>* images) {
-  Nanos last = 0;
-  for (Nanos when : times) {
-    co_await Delay(when - last);
-    last = when;
-    images->push_back(
-        monitor.Snapshot(injector.crash_rng(), injector.config()));
-  }
-}
-
 // Creates the two files, then spawns the writers (a coroutine may not be a
 // capturing temporary lambda, so this is a free function).
 Task<void> SetupWorkloads(StorageStack& stack, Process& wal_proc,
@@ -113,19 +101,13 @@ CrashSweepResult RunCrashSweep(const CrashSweepOptions& options) {
                               : StackConfig::DeviceKind::kHdd;
   config.fs =
       options.xfs ? StackConfig::FsKind::kXfs : StackConfig::FsKind::kExt4;
-  config.volatile_write_cache = true;
-  config.layout.durability_barriers = options.durability_barriers;
+  ConfigureCrashMode(&config, options.durability_barriers);
   config.journal.buggy_skip_preflush = options.buggy_skip_preflush;
-  config.journal.commit_interval = Sec(1);
   if (options.mq_hw_queues > 1 || options.mq_queue_depth > 1) {
     config.mq.enabled = true;
     config.mq.nr_hw_queues = std::max(1, options.mq_hw_queues);
     config.mq.queue_depth = std::max(1, options.mq_queue_depth);
   }
-  // Give flushes a visible (but modest) cost so barrier traffic exercises
-  // the elevators rather than completing for free.
-  config.hdd.flush_latency = Usec(500);
-  config.ssd.flush_latency = Usec(100);
 
   SchedInstance sched = MakeSched(options.sched);
   StorageStack stack(config, &cpu, std::move(sched.split),
@@ -134,18 +116,12 @@ CrashSweepResult RunCrashSweep(const CrashSweepOptions& options) {
   FaultConfig fault_config;
   fault_config.seed = options.seed;
   if (options.inject_faults) {
-    fault_config.write_eio_rate = 0.02;
-    fault_config.read_eio_rate = 0.01;
-    fault_config.latency_spike_rate = 0.01;
+    fault_config.EnableTransientFaults();
   }
   FaultInjector injector(fault_config);
   stack.device().set_fault_hook(&injector);
 
-  CrashMonitor monitor(&stack.block(), &stack.device());
-  if (Ext4Sim* e4 = stack.ext4()) {
-    monitor.AttachJournal(&e4->journal());
-  }
-  monitor.AttachKernel(&stack.kernel());
+  CrashMonitor monitor(stack);
 
   std::vector<CrashImage> images;
   if (options.record_crash_points > 0) {
@@ -162,23 +138,12 @@ CrashSweepResult RunCrashSweep(const CrashSweepOptions& options) {
   WorkloadCounts db_counts;
   int64_t wal_ino = 0;
 
-  // Randomized crash points over the middle and tail of the run (the head
-  // is warm-up: files created, first transactions forming).
-  std::vector<Nanos> crash_times;
-  Rng crash_time_rng(options.seed ^ 0x9e3779b97f4a7c15ULL);
-  Nanos lo = options.horizon / 4;
-  for (int i = 0; i < options.crash_points; ++i) {
-    crash_times.push_back(
-        lo + static_cast<Nanos>(crash_time_rng.Below(
-                 static_cast<uint64_t>(options.horizon - lo))));
-  }
-  std::sort(crash_times.begin(), crash_times.end());
-  crash_times.erase(std::unique(crash_times.begin(), crash_times.end()),
-                    crash_times.end());
-
   sim.Spawn(SetupWorkloads(stack, *wal_proc, *db_proc, options.horizon,
                            options.seed, &wal_ino, &wal_counts, &db_counts));
-  sim.Spawn(CrashSampler(monitor, injector, crash_times, &images));
+  sim.Spawn(monitor.SampleAtTimes(
+      &injector,
+      RandomCrashTimes(options.seed, options.horizon, options.crash_points),
+      &images));
 
   sim.Run(options.horizon);
 

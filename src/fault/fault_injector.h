@@ -34,6 +34,15 @@ struct FaultConfig {
   // one sector — that it is torn, leaving only a proper sector prefix.
   double volatile_survival_rate = 0.5;
   double torn_write_rate = 0.25;
+
+  // The transient fault mix crash exploration runs with (RunCrashSweep,
+  // the stress executor): EIO on 2% of writes and 1% of reads, a latency
+  // spike on 1% of requests.
+  void EnableTransientFaults() {
+    write_eio_rate = 0.02;
+    read_eio_rate = 0.01;
+    latency_spike_rate = 0.01;
+  }
 };
 
 class FaultInjector : public DeviceFaultHook {

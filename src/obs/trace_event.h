@@ -95,19 +95,6 @@ enum class SyscallOp : uint64_t {
   kRename,
 };
 
-inline const char* SyscallOpName(SyscallOp op) {
-  switch (op) {
-    case SyscallOp::kRead: return "read";
-    case SyscallOp::kWrite: return "write";
-    case SyscallOp::kFsync: return "fsync";
-    case SyscallOp::kCreat: return "creat";
-    case SyscallOp::kMkdir: return "mkdir";
-    case SyscallOp::kUnlink: return "unlink";
-    case SyscallOp::kRename: return "rename";
-  }
-  return "?";
-}
-
 struct TraceEvent {
   EventType type = EventType::kElvAdd;
   uint8_t flags = 0;

@@ -267,16 +267,8 @@ double ComposedScheduler::account_balance(int account) const {
                 : scs_->account_balance(account);
 }
 
-double ComposedScheduler::group_balance(int group) const {
-  return token_ ? token_->group_balance(group) : scs_->group_balance(group);
-}
-
 const HierTokenAccounts& ComposedScheduler::accounts() const {
   return token_ ? token_->accounts() : scs_->accounts();
-}
-
-HierTokenAccounts& ComposedScheduler::mutable_accounts() {
-  return token_ ? token_->mutable_accounts() : scs_->mutable_accounts();
 }
 
 }  // namespace splitio

@@ -67,9 +67,7 @@ class ComposedScheduler : public SplitScheduler, private ReadySink {
   void SetGroupLimit(int group, double bytes_per_sec);
   void BindAccountToGroup(int account, int group);
   double account_balance(int account) const;
-  double group_balance(int group) const;
   const HierTokenAccounts& accounts() const;
-  HierTokenAccounts& mutable_accounts();
 
   // Tag-rule kCount probe (split-noop's framework-overhead counter).
   uint64_t dirty_events() const { return dirty_events_; }

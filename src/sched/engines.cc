@@ -629,10 +629,6 @@ double TokenEngine::account_balance(int account) const {
   return accounts_.LeafBalance(account);
 }
 
-double TokenEngine::group_balance(int group) const {
-  return accounts_.GroupBalance(group);
-}
-
 // ===========================================================================
 // ScsEngine
 // ===========================================================================
@@ -656,10 +652,6 @@ void ScsEngine::BindAccountToGroup(int account, int group) {
 
 double ScsEngine::account_balance(int account) const {
   return accounts_.LeafBalance(account);
-}
-
-double ScsEngine::group_balance(int group) const {
-  return accounts_.GroupBalance(group);
 }
 
 Task<void> ScsEngine::AdmitAndCharge(Process& proc, double cost) {

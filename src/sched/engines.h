@@ -236,9 +236,7 @@ class TokenEngine {
   void SetGroupLimit(int group, double bytes_per_sec);
   void BindAccountToGroup(int account, int group);
   double account_balance(int account) const;
-  double group_balance(int group) const;
   const HierTokenAccounts& accounts() const { return accounts_; }
-  HierTokenAccounts& mutable_accounts() { return accounts_; }
 
  private:
   int AccountOf(int32_t pid) const;
@@ -296,9 +294,7 @@ class ScsEngine {
   void SetGroupLimit(int group, double bytes_per_sec);
   void BindAccountToGroup(int account, int group);
   double account_balance(int account) const;
-  double group_balance(int group) const;
   const HierTokenAccounts& accounts() const { return accounts_; }
-  HierTokenAccounts& mutable_accounts() { return accounts_; }
 
  private:
   Task<void> AdmitAndCharge(Process& proc, double cost);

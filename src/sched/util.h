@@ -166,7 +166,6 @@ class TokenBucket {
   }
 
   void Charge(double cost) { balance_ -= cost; }
-  void Refund(double amount) { balance_ = std::min(cap_, balance_ + amount); }
 
   bool CanAdmit() const { return balance_ >= 0; }
   double balance() const { return balance_; }

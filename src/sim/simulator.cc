@@ -11,45 +11,10 @@ namespace {
 // Pre-sized event-queue storage: avoids repeated reallocation of the heap's
 // backing vector while a bench ramps up its thread population.
 constexpr size_t kInitialQueueCapacity = 4096;
-}  // namespace
-
-namespace {
 
 thread_local Simulator* g_current = nullptr;
 
-// Driver coroutine for root tasks: runs the task to completion, then marks
-// the join state done and wakes joiners. It is initially suspended so the
-// simulator can schedule its first resumption; its frame destroys itself on
-// completion (final_suspend never suspends).
-struct RootDriver {
-  struct promise_type {
-    RootDriver get_return_object() {
-      return RootDriver{
-          std::coroutine_handle<promise_type>::from_promise(*this)};
-    }
-    std::suspend_always initial_suspend() noexcept { return {}; }
-    std::suspend_never final_suspend() noexcept { return {}; }
-    void return_void() {}
-    void unhandled_exception() { std::terminate(); }
-  };
-  std::coroutine_handle<promise_type> handle;
-};
-
-RootDriver DriveRoot(Task<void> task, JoinHandle state) {
-  co_await std::move(task);
-  state->MarkDone();
-}
-
 }  // namespace
-
-void JoinState::MarkDone() {
-  done_ = true;
-  Simulator& sim = Simulator::current();
-  for (std::coroutine_handle<> waiter : waiters_) {
-    sim.Schedule(sim.Now(), waiter);
-  }
-  waiters_.clear();
-}
 
 Simulator::Simulator() {
   assert(g_current == nullptr && "nested simulators are not supported");
@@ -162,20 +127,6 @@ void Simulator::UncountWakeup() {
 void Simulator::CountWakeup() {
   ++events_processed_;
   ++counters().sim_events;
-}
-
-JoinHandle Simulator::Spawn(Task<void> task) {
-  auto state = std::make_shared<JoinState>();
-  RootDriver driver = DriveRoot(std::move(task), state);
-  Schedule(now_, driver.handle);
-  return state;
-}
-
-JoinHandle Simulator::SpawnAt(Nanos t, Task<void> task) {
-  auto state = std::make_shared<JoinState>();
-  RootDriver driver = DriveRoot(std::move(task), state);
-  Schedule(t, driver.handle);
-  return state;
 }
 
 }  // namespace splitio

@@ -12,31 +12,14 @@
 #include <coroutine>
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <queue>
+#include <utility>
 #include <vector>
 
 #include "src/sim/task.h"
 #include "src/sim/time.h"
 
 namespace splitio {
-
-// Shared completion state for a spawned root task; allows joining.
-class JoinState {
- public:
-  bool done() const { return done_; }
-
-  // Marks the task complete and wakes all joiners. Called by the simulator's
-  // root-task driver.
-  void MarkDone();
-
- private:
-  friend class JoinAwaiter;
-  bool done_ = false;
-  std::vector<std::coroutine_handle<>> waiters_;
-};
-
-using JoinHandle = std::shared_ptr<JoinState>;
 
 class Simulator {
  public:
@@ -66,16 +49,14 @@ class Simulator {
   // Enqueues `h` to be resumed at absolute time `t` (>= Now()).
   void Schedule(Nanos t, std::coroutine_handle<> h);
 
-  // Starts a root simulated thread. The coroutine frame is owned by the
-  // simulator machinery and freed when the task completes. The returned
-  // handle can be awaited with `Join`.
-  JoinHandle Spawn(Task<void> task);
-
-  // Spawn, but the root task's first resumption happens at absolute time
-  // `t` (>= Now()) instead of immediately. Used by the shard runtime to
-  // inject a cross-shard message at its delivery timestamp without an
-  // extra bounce through the current time.
-  JoinHandle SpawnAt(Nanos t, Task<void> task);
+  // Starts a root simulated thread: the task's first resumption is
+  // scheduled at absolute time `t` (>= Now()), and its frame frees itself
+  // when it finishes. Nothing can wait for a root task; it signals its own
+  // completion (an Event, a Latch, a counter). The shard runtime uses a
+  // future `t` to inject a cross-shard message at its delivery timestamp
+  // without an extra bounce through the current time.
+  void SpawnAt(Nanos t, Task<void> task) { Schedule(t, task.Release()); }
+  void Spawn(Task<void> task) { SpawnAt(now_, std::move(task)); }
 
   // Runs until the event queue is empty or the clock passes `until`.
   void Run(Nanos until = kNanosMax);
@@ -147,30 +128,6 @@ struct DelayAwaiter {
 };
 
 inline DelayAwaiter Delay(Nanos d) { return DelayAwaiter{d}; }
-
-// Awaitable: wait until a spawned root task completes. Returns immediately if
-// it already has.
-//
-// Holds a raw pointer only: GCC 12 destroys co_await operand temporaries
-// twice, so awaiters must be trivially destructible. The JoinHandle passed
-// to Join() is kept alive by the caller (an lvalue, or a temporary bound to
-// the const& parameter, which lives to the end of the full expression).
-class JoinAwaiter {
- public:
-  explicit JoinAwaiter(JoinState* state) : state_(state) {}
-  bool await_ready() const noexcept { return state_->done_; }
-  void await_suspend(std::coroutine_handle<> h) {
-    state_->waiters_.push_back(h);
-  }
-  void await_resume() const noexcept {}
-
- private:
-  JoinState* state_;
-};
-
-inline JoinAwaiter Join(const JoinHandle& handle) {
-  return JoinAwaiter(handle.get());
-}
 
 }  // namespace splitio
 

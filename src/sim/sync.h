@@ -9,6 +9,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <vector>
 
 #include "src/sim/simulator.h"
@@ -47,7 +48,7 @@ class Event {
 
   void NotifyOne() {
     // No waiters: nothing to schedule — and there may legitimately be no
-    // live Simulator (e.g. a Semaphore released outside any simulation).
+    // live Simulator (e.g. an Event notified outside any simulation).
     while (!waiters_.empty()) {
       WaitNode node = std::move(waiters_.front());
       waiters_.pop_front();
@@ -78,15 +79,6 @@ class Event {
       sim.Schedule(sim.Now(), node.handle);
     }
     waiters_.clear();
-  }
-
-  bool has_waiters() const {
-    for (const WaitNode& node : waiters_) {
-      if (node.state == nullptr || !node.state->cancelled) {
-        return true;
-      }
-    }
-    return false;
   }
 
  private:
@@ -225,62 +217,6 @@ class Latch {
  private:
   bool set_ = false;
   std::deque<std::coroutine_handle<>> waiters_;
-};
-
-// Counting semaphore with FIFO waiters.
-class Semaphore {
- public:
-  explicit Semaphore(int64_t initial) : count_(initial) {}
-
-  // co_await sem.Acquire();
-  Task<void> Acquire() {
-    while (count_ <= 0) {
-      co_await event_.Wait();
-    }
-    --count_;
-  }
-
-  bool TryAcquire() {
-    if (count_ > 0) {
-      --count_;
-      return true;
-    }
-    return false;
-  }
-
-  void Release() {
-    ++count_;
-    event_.NotifyOne();
-  }
-
-  int64_t count() const { return count_; }
-
- private:
-  int64_t count_;
-  Event event_;
-};
-
-// Mutual exclusion for simulated threads. Coroutines only yield at co_await
-// points, so a mutex is needed only around multi-await critical sections.
-class Mutex {
- public:
-  Task<void> Lock() {
-    while (locked_) {
-      co_await event_.Wait();
-    }
-    locked_ = true;
-  }
-
-  void Unlock() {
-    locked_ = false;
-    event_.NotifyOne();
-  }
-
-  bool locked() const { return locked_; }
-
- private:
-  bool locked_ = false;
-  Event event_;
 };
 
 }  // namespace splitio

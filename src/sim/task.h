@@ -2,11 +2,13 @@
 //
 // A `Task<T>` is a lazily-started coroutine. It begins execution when
 // co_awaited by another coroutine (symmetric transfer), or when handed to
-// `Simulator::Spawn`, which drives it as a root "simulated thread".
+// `Simulator::Spawn`, which runs it as a root "simulated thread".
 //
 // Tasks are move-only and own their coroutine frame; destroying an unfinished
 // task destroys the frame (cancellation of a never-started or suspended
-// task).
+// task). A root task has no owner and no continuation: it frees its own
+// frame when it finishes, and an exception it lets escape terminates the
+// program.
 //
 // LAMBDA CAPTURE RULE: a lambda coroutine's captures live in the closure
 // object, which is NOT copied into the coroutine frame. Never invoke a
@@ -38,19 +40,27 @@ struct PromiseBase {
   std::coroutine_handle<> continuation;
   std::exception_ptr exception;
 
+  // Awaited task: transfers to the awaiting coroutine. Root task (no
+  // continuation): does not suspend, so the coroutine flows off its end and
+  // its frame is destroyed. Holds a raw pointer only (see the awaiter rule
+  // above).
   struct FinalAwaiter {
-    bool await_ready() noexcept { return false; }
-    template <typename Promise>
-    std::coroutine_handle<> await_suspend(
-        std::coroutine_handle<Promise> h) noexcept {
-      auto cont = h.promise().continuation;
-      return cont ? cont : std::noop_coroutine();
+    PromiseBase* promise;
+    bool await_ready() noexcept { return !promise->continuation; }
+    std::coroutine_handle<> await_suspend(std::coroutine_handle<>) noexcept {
+      return promise->continuation;
     }
-    void await_resume() noexcept {}
+    // Reached by root tasks only. Nobody can catch a root task's exception:
+    // rethrowing it in a noexcept function terminates with its message.
+    void await_resume() noexcept {
+      if (promise->exception) {
+        std::rethrow_exception(promise->exception);
+      }
+    }
   };
 
   std::suspend_always initial_suspend() noexcept { return {}; }
-  FinalAwaiter final_suspend() noexcept { return {}; }
+  FinalAwaiter final_suspend() noexcept { return {this}; }
   void unhandled_exception() { exception = std::current_exception(); }
 };
 
@@ -125,11 +135,8 @@ class [[nodiscard]] Task {
     return Awaiter{handle_};
   }
 
-  // Debug helper: raw frame address.
-  void* DebugAddress() const { return handle_ ? handle_.address() : nullptr; }
-
-  // Releases ownership of the coroutine frame to the caller. Used by the
-  // simulator's spawn machinery.
+  // Releases ownership of the coroutine frame to the caller. A released
+  // task that runs to completion frees its own frame.
   std::coroutine_handle<promise_type> Release() {
     return std::exchange(handle_, {});
   }

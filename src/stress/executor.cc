@@ -11,7 +11,6 @@
 #include "src/fault/fault_injector.h"
 #include "src/metrics/counters.h"
 #include "src/obs/trace_sink.h"
-#include "src/sim/random.h"
 #include "src/sim/simulator.h"
 #include "src/sim/sync.h"
 #include "src/stress/misordered_elevator.h"
@@ -106,20 +105,6 @@ Task<void> RunProgram(StorageStack* stack, Process* reaper,
   state->done_at = Simulator::current().Now();
 }
 
-// Random-time crash images, complementing the adversarial
-// SampleOnJournalRecord images (same shape as the crash-sweep sampler).
-Task<void> CrashSampler(CrashMonitor* monitor, FaultInjector* injector,
-                        std::vector<Nanos> times,
-                        std::vector<CrashImage>* images) {
-  Nanos last = 0;
-  for (Nanos when : times) {
-    co_await Delay(when - last);
-    last = when;
-    images->push_back(
-        monitor->Snapshot(injector->crash_rng(), injector->config()));
-  }
-}
-
 }  // namespace
 
 ExecResult ExecuteScenario(const Scenario& scenario,
@@ -139,14 +124,7 @@ ExecResult ExecuteScenario(const Scenario& scenario,
     config.mq.queue_depth = std::max(1, st.queue_depth);
   }
   if (st.crash) {
-    // Crash-consistency mode (same knobs as the crash sweep): durability is
-    // earned through barriers against a volatile write cache, and flushes
-    // carry a visible cost so barrier traffic exercises the elevators.
-    config.volatile_write_cache = true;
-    config.layout.durability_barriers = true;
-    config.journal.commit_interval = Sec(1);
-    config.hdd.flush_latency = Usec(500);
-    config.ssd.flush_latency = Usec(100);
+    ConfigureCrashMode(&config, /*durability_barriers=*/true);
   }
   if (st.control == NegativeControl::kSkipPreflush) {
     config.journal.buggy_skip_preflush = true;
@@ -171,9 +149,7 @@ ExecResult ExecuteScenario(const Scenario& scenario,
   FaultConfig fault_config;
   fault_config.seed = scenario.seed;
   if (st.transient_faults) {
-    fault_config.write_eio_rate = 0.02;
-    fault_config.read_eio_rate = 0.01;
-    fault_config.latency_spike_rate = 0.01;
+    fault_config.EnableTransientFaults();
   }
   FaultInjector injector(fault_config);
   stack.device().set_fault_hook(&injector);
@@ -181,11 +157,7 @@ ExecResult ExecuteScenario(const Scenario& scenario,
   std::unique_ptr<CrashMonitor> monitor;
   std::vector<CrashImage> images;
   if (st.crash) {
-    monitor = std::make_unique<CrashMonitor>(&stack.block(), &stack.device());
-    if (Ext4Sim* e4 = stack.ext4()) {
-      monitor->AttachJournal(&e4->journal());
-    }
-    monitor->AttachKernel(&stack.kernel());
+    monitor = std::make_unique<CrashMonitor>(stack);
     if (options.crash_points > 0) {
       monitor->SampleOnJournalRecord(
           &injector, &images, static_cast<size_t>(options.crash_points));
@@ -215,20 +187,12 @@ ExecResult ExecuteScenario(const Scenario& scenario,
   state.op_latency.assign(program.ops.size(), 0);
 
   if (monitor && options.crash_points > 0) {
-    // Random crash points over the middle and tail of the run (the head is
-    // warm-up: files being created, first transactions forming).
-    std::vector<Nanos> crash_times;
-    Rng crash_time_rng(scenario.seed ^ 0x9e3779b97f4a7c15ULL);
-    Nanos lo = options.horizon / 4;
-    for (int i = 0; i < options.crash_points; ++i) {
-      crash_times.push_back(
-          lo + static_cast<Nanos>(crash_time_rng.Below(
-                   static_cast<uint64_t>(options.horizon - lo))));
-    }
-    std::sort(crash_times.begin(), crash_times.end());
-    crash_times.erase(std::unique(crash_times.begin(), crash_times.end()),
-                      crash_times.end());
-    sim.Spawn(CrashSampler(monitor.get(), &injector, crash_times, &images));
+    // Random-time crash images, complementing the adversarial
+    // SampleOnJournalRecord images.
+    sim.Spawn(monitor->SampleAtTimes(
+        &injector,
+        RandomCrashTimes(scenario.seed, options.horizon, options.crash_points),
+        &images));
   }
 
   sim.Spawn(RunProgram(&stack, reaper, procs, &program, &state));

@@ -75,7 +75,6 @@ class AdmissionController {
   // Per-tenant stats (empty Stats for accounts never seen).
   Stats TenantStats(int account) const;
   const Stats& totals() const { return totals_; }
-  const std::map<int, Stats>& by_tenant() const { return by_tenant_; }
 
  private:
   bool OverQueueLimit(int account) const;

@@ -69,7 +69,6 @@ class HierTokenAccounts {
   bool AnyAdmittable() const;
 
   bool HasLeaf(int leaf) const { return leaves_.count(leaf) > 0; }
-  bool HasGroups() const { return !groups_.empty(); }
   // Group of `leaf`, or -1 when unbound.
   int GroupOf(int leaf) const;
 

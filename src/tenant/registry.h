@@ -105,7 +105,6 @@ class TenantRegistry {
     return it != burn_.end() ? &it->second : nullptr;
   }
   const std::vector<TenantClass>& classes() const { return config_.classes; }
-  int tenant_count() const { return static_cast<int>(tenants_.size()); }
   uint64_t total_ops() const { return total_ops_; }
   // Operations that returned an error (admission -EAGAIN rejects land here).
   uint64_t failed_ops() const { return failed_ops_; }

@@ -180,5 +180,22 @@ TEST(ShardedDfsApp, ThrottledAccountIsSlower) {
   EXPECT_GT(fast.bytes, 2 * slow.bytes);
 }
 
+// A config ShardedDfs cannot run aborts with the offending field in every
+// build type, before it can hang PlaceBlock or divide by zero.
+TEST(ShardedDfsAppDeathTest, FewerWorkersThanReplicasAborts) {
+  ShardedDfs::Config config;
+  config.workers = 2;
+  config.replication = 3;
+  EXPECT_DEATH({ ShardedDfs cluster(config); },
+               "workers = 2 is below replication = 3");
+}
+
+TEST(ShardedDfsAppDeathTest, ZeroWorkersPerShardAborts) {
+  ShardedDfs::Config config;
+  config.workers_per_shard = 0;
+  EXPECT_DEATH({ ShardedDfs cluster(config); },
+               "workers_per_shard = 0 is below 1");
+}
+
 }  // namespace
 }  // namespace splitio

@@ -7,7 +7,6 @@
 // check_shard_determinism ctest byte-compares repeated runs' full process
 // output (tables + BENCHJSON) through the bench binary.
 #include <cstring>
-#include <new>
 #include <string>
 #include <vector>
 
@@ -17,6 +16,7 @@
 #include "src/metrics/counters.h"
 #include "src/sim/shard.h"
 #include "src/sim/simulator.h"
+#include "tests/alloc_counting.h"
 
 namespace splitio {
 namespace {
@@ -306,14 +306,6 @@ TEST(ShardGroup, FoldsShardCountersIntoCaller) {
   Counters delta = counters().Delta(before);
   // 3 shards x (1 spawn + 5 delays) = 18 wake-ups.
   EXPECT_EQ(delta.sim_events, 18u);
-}
-
-// Sanitizer runtimes replace the counting operator new; allocs stays put.
-bool AllocsAreCounted() {
-  const uint64_t before = counters().allocs;
-  void* p = ::operator new(1);
-  ::operator delete(p);
-  return counters().allocs > before;
 }
 
 // Counter activity inside Setup lands in the caller's counters when it

@@ -1,18 +1,25 @@
 // Unit tests for the discrete-event simulator core: clock, task
-// composition, spawn/join, synchronization primitives, CPU model, RNG.
+// composition, spawn, synchronization primitives, CPU model, RNG.
 //
 // Note the lambda-coroutine convention (see src/sim/task.h): every capturing
 // lambda coroutine is named so its closure outlives Simulator::Run().
 #include <gtest/gtest.h>
 
+#include <coroutine>
+#include <memory>
+#include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "src/metrics/counters.h"
 #include "src/sim/cpu.h"
 #include "src/sim/random.h"
 #include "src/sim/simulator.h"
 #include "src/sim/sync.h"
 #include "src/sim/task.h"
 #include "src/sim/time.h"
+#include "tests/alloc_counting.h"
 
 namespace splitio {
 namespace {
@@ -117,39 +124,118 @@ TEST(Simulator, NestedTaskComposition) {
   EXPECT_EQ(finish, Msec(7));
 }
 
-TEST(Simulator, JoinWaitsForCompletion) {
-  Simulator sim;
-  bool child_done = false;
-  auto child_body = [&]() -> Task<void> {
-    co_await Delay(Msec(50));
-    child_done = true;
-  };
-  JoinHandle child = sim.Spawn(child_body());
-  bool observed = false;
-  auto joiner = [&]() -> Task<void> {
-    co_await Join(child);
-    observed = child_done;
-    EXPECT_EQ(Simulator::current().Now(), Msec(50));
-  };
-  sim.Spawn(joiner());
-  sim.Run();
-  EXPECT_TRUE(observed);
+// Logs its name and the simulated time when it is destroyed.
+struct FreeProbe {
+  std::vector<std::pair<std::string, Nanos>>* log;
+  std::string name;
+  ~FreeProbe() { log->emplace_back(name, Simulator::current().Now()); }
+};
+
+// Each coroutine holds one probe in its frame (a parameter, destroyed with
+// the frame) and one as a body local.
+Task<void> ProbedChild(std::unique_ptr<FreeProbe> frame, Nanos d) {
+  FreeProbe local{frame->log, frame->name + " local"};
+  co_await Delay(d);
 }
 
-TEST(Simulator, JoinOnFinishedTaskReturnsImmediately) {
-  Simulator sim;
-  auto noop = []() -> Task<void> { co_return; };
-  JoinHandle child = sim.Spawn(noop());
-  bool ran = false;
-  auto joiner = [&]() -> Task<void> {
-    co_await Delay(Msec(10));
-    co_await Join(child);  // already done
-    ran = true;
-    EXPECT_EQ(Simulator::current().Now(), Msec(10));
+Task<void> ProbedRoot(std::unique_ptr<FreeProbe> frame, Nanos d) {
+  FreeProbe local{frame->log, frame->name + " local"};
+  // Built outside the co_await: GCC 12 keeps a co_await expression's
+  // temporaries in the frame and miscompiles a string moved out of one.
+  std::unique_ptr<FreeProbe> child(
+      new FreeProbe{frame->log, frame->name + " child"});
+  co_await ProbedChild(std::move(child), d);
+}
+
+TEST(Simulator, FinishedRootTaskFreesItsFrame) {
+  std::vector<std::pair<std::string, Nanos>> freed;
+  auto probe = [&](const char* name) {
+    return std::unique_ptr<FreeProbe>(new FreeProbe{&freed, name});
   };
-  sim.Spawn(joiner());
+  Simulator sim;
+  sim.Spawn(ProbedRoot(probe("at-once"), 0));
+  sim.Spawn(ProbedRoot(probe("delayed"), Msec(5)));
   sim.Run();
-  EXPECT_TRUE(ran);
+  const std::vector<std::pair<std::string, Nanos>> expected = {
+      {"at-once child local", 0}, {"at-once child", 0},
+      {"at-once local", 0},       {"at-once", 0},
+      {"delayed child local", Msec(5)}, {"delayed child", Msec(5)},
+      {"delayed local", Msec(5)},       {"delayed", Msec(5)}};
+  EXPECT_EQ(freed, expected);
+}
+
+// A spawn allocates the task's frame and nothing else. The control pushes
+// as many same-time wake-ups into a fresh simulator, so both grow the
+// ready FIFO alike.
+TEST(Simulator, SpawnAllocatesOnlyTheTaskFrame) {
+  if (!AllocsAreCounted()) {
+    GTEST_SKIP() << "the sanitizer runtime replaces the counting operator new";
+  }
+  constexpr uint64_t kTasks = 1000;
+  auto noop = []() -> Task<void> { co_return; };
+  uint64_t spawn_allocs = 0;
+  {
+    Simulator sim;
+    const uint64_t before = counters().allocs;
+    for (uint64_t i = 0; i < kTasks; ++i) {
+      sim.Spawn(noop());
+    }
+    sim.Run();
+    spawn_allocs = counters().allocs - before;
+  }
+  uint64_t fifo_allocs = 0;
+  {
+    Simulator sim;
+    const uint64_t before = counters().allocs;
+    for (uint64_t i = 0; i < kTasks; ++i) {
+      sim.Schedule(sim.Now(), std::noop_coroutine());
+    }
+    sim.Run();
+    fifo_allocs = counters().allocs - before;
+  }
+  EXPECT_GT(fifo_allocs, 0u);
+  EXPECT_EQ(spawn_allocs, kTasks + fifo_allocs);
+}
+
+TEST(Simulator, SpawnAtResumesAtItsTime) {
+  Simulator sim;
+  std::vector<std::pair<std::string, Nanos>> order;
+  auto mark = [&](std::string name) -> Task<void> {
+    order.emplace_back(std::move(name), Simulator::current().Now());
+    co_return;
+  };
+  auto sleeper = [&]() -> Task<void> {
+    co_await Delay(Msec(5));
+    order.emplace_back("sleeper", Simulator::current().Now());
+    // At the current time: behind the wake-ups already due now.
+    Simulator::current().SpawnAt(Msec(5), mark("spawned at 5 ms"));
+  };
+  sim.Spawn(sleeper());  // its 5 ms wake-up is scheduled once it runs
+  sim.SpawnAt(Msec(5), mark("at 5 ms"));
+  sim.SpawnAt(Msec(2), mark("at 2 ms"));
+  sim.Run();
+  const std::vector<std::pair<std::string, Nanos>> expected = {
+      {"at 2 ms", Msec(2)},
+      {"at 5 ms", Msec(5)},
+      {"sleeper", Msec(5)},
+      {"spawned at 5 ms", Msec(5)}};
+  EXPECT_EQ(order, expected);
+}
+
+// An exception a root task lets escape has nowhere to go: it terminates
+// the program, and the message names it.
+TEST(SimulatorDeathTest, UncaughtExceptionInRootTaskTerminates) {
+  auto thrower = []() -> Task<void> {
+    co_await Delay(Msec(1));
+    throw std::runtime_error("root task failed");
+  };
+  EXPECT_DEATH(
+      {
+        Simulator sim;
+        sim.Spawn(thrower());
+        sim.Run();
+      },
+      "root task failed");
 }
 
 TEST(Simulator, RunUntilStopsClock) {
@@ -215,44 +301,6 @@ TEST(Latch, ReleasesAllWaitersAndLaterArrivals) {
   sim.Run();
   EXPECT_EQ(released, 3);
   EXPECT_TRUE(latch.is_set());
-}
-
-TEST(Semaphore, LimitsConcurrency) {
-  Simulator sim;
-  Semaphore sem(2);
-  int active = 0;
-  int max_active = 0;
-  auto worker = [&]() -> Task<void> {
-    co_await sem.Acquire();
-    ++active;
-    max_active = std::max(max_active, active);
-    co_await Delay(Msec(10));
-    --active;
-    sem.Release();
-  };
-  for (int i = 0; i < 6; ++i) {
-    sim.Spawn(worker());
-  }
-  sim.Run();
-  EXPECT_EQ(max_active, 2);
-  EXPECT_EQ(sim.Now(), Msec(30));
-}
-
-TEST(Mutex, ProvidesMutualExclusion) {
-  Simulator sim;
-  Mutex mu;
-  std::vector<int> log;
-  auto critical = [&](int id) -> Task<void> {
-    co_await mu.Lock();
-    log.push_back(id);
-    co_await Delay(Msec(5));
-    log.push_back(id);
-    mu.Unlock();
-  };
-  sim.Spawn(critical(1));
-  sim.Spawn(critical(2));
-  sim.Run();
-  EXPECT_EQ(log, (std::vector<int>{1, 1, 2, 2}));
 }
 
 TEST(CpuModel, UncontendedRunsAtFullSpeed) {

@@ -69,30 +69,8 @@ struct MetricsFile {
   std::map<std::string, AlertRec> alerts;
 };
 
-bool FindNumber(const std::string& line, const char* key, double* out) {
-  std::string needle = std::string("\"") + key + "\":";
-  size_t pos = line.find(needle);
-  if (pos == std::string::npos) {
-    return false;
-  }
-  *out = std::strtod(line.c_str() + pos + needle.size(), nullptr);
-  return true;
-}
-
-bool FindString(const std::string& line, const char* key, std::string* out) {
-  std::string needle = std::string("\"") + key + "\":\"";
-  size_t pos = line.find(needle);
-  if (pos == std::string::npos) {
-    return false;
-  }
-  size_t start = pos + needle.size();
-  size_t end = line.find('"', start);
-  if (end == std::string::npos) {
-    return false;
-  }
-  *out = line.substr(start, end - start);
-  return true;
-}
+using report::FindNumber;
+using report::FindString;
 
 bool Load(const std::string& path, MetricsFile* out) {
   std::ifstream in(path);

@@ -1,6 +1,7 @@
-// Per-metric tolerance gating shared by the offline report tools
-// (tools/metrics_report, tools/trace_stats). Standalone — no splitio
-// dependency — like the tools that include it.
+// Shared by the offline report tools (tools/metrics_report,
+// tools/trace_stats): compact-JSONL field scanners and per-metric tolerance
+// gating. Standalone — no splitio dependency — like the tools that include
+// it.
 //
 // A diff gates on *increases* only: `new > old * (1 + tol) + atol`. The
 // relative tolerance absorbs proportional noise; the absolute floor keeps
@@ -21,6 +22,35 @@
 #include <vector>
 
 namespace report {
+
+// Finds `"key":<number>` in a compact JSONL line. Returns false if absent.
+inline bool FindNumber(const std::string& line, const char* key,
+                       double* out) {
+  std::string needle = std::string("\"") + key + "\":";
+  size_t pos = line.find(needle);
+  if (pos == std::string::npos) {
+    return false;
+  }
+  *out = std::strtod(line.c_str() + pos + needle.size(), nullptr);
+  return true;
+}
+
+// Finds `"key":"value"` in a compact JSONL line.
+inline bool FindString(const std::string& line, const char* key,
+                       std::string* out) {
+  std::string needle = std::string("\"") + key + "\":\"";
+  size_t pos = line.find(needle);
+  if (pos == std::string::npos) {
+    return false;
+  }
+  size_t start = pos + needle.size();
+  size_t end = line.find('"', start);
+  if (end == std::string::npos) {
+    return false;
+  }
+  *out = line.substr(start, end - start);
+  return true;
+}
 
 struct Tolerances {
   double def = 0.10;   // default relative tolerance

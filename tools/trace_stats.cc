@@ -80,32 +80,8 @@ struct SchedStats {
   LayerSamples layers[kLayers];
 };
 
-// Finds `"key":<number>` in a compact JSONL line. Returns false if absent.
-bool FindNumber(const std::string& line, const char* key, double* out) {
-  std::string needle = std::string("\"") + key + "\":";
-  size_t pos = line.find(needle);
-  if (pos == std::string::npos) {
-    return false;
-  }
-  *out = std::strtod(line.c_str() + pos + needle.size(), nullptr);
-  return true;
-}
-
-// Finds `"key":"value"` in a compact JSONL line.
-bool FindString(const std::string& line, const char* key, std::string* out) {
-  std::string needle = std::string("\"") + key + "\":\"";
-  size_t pos = line.find(needle);
-  if (pos == std::string::npos) {
-    return false;
-  }
-  size_t start = pos + needle.size();
-  size_t end = line.find('"', start);
-  if (end == std::string::npos) {
-    return false;
-  }
-  *out = line.substr(start, end - start);
-  return true;
-}
+using report::FindNumber;
+using report::FindString;
 
 // Loads a span JSONL file into per-scheduler-label layer samples. The map is
 // ordered so output (and diffs) are stable across runs.
