@@ -1,6 +1,17 @@
 #include "src/sim/simulator.h"
 
 #include <cassert>
+#include <iterator>
+#include <new>
+
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#define SPLITIO_POISON(p, n) ASAN_POISON_MEMORY_REGION(p, n)
+#define SPLITIO_UNPOISON(p, n) ASAN_UNPOISON_MEMORY_REGION(p, n)
+#else
+#define SPLITIO_POISON(p, n) ((void)(p), (void)(n))
+#define SPLITIO_UNPOISON(p, n) ((void)(p), (void)(n))
+#endif
 
 #include "src/metrics/counters.h"
 #include "src/metrics/sample_hook.h"
@@ -15,6 +26,42 @@ constexpr size_t kInitialQueueCapacity = 4096;
 thread_local Simulator* g_current = nullptr;
 
 }  // namespace
+
+namespace internal {
+
+// A pooled frame is always allocated at its class size, whichever list it
+// comes from, so any list of that class can take it back. A frame on a
+// list is poisoned under ASan, so a use after destroy still reports.
+void* PromiseBase::operator new(std::size_t size) {
+  if (size > Simulator::kMaxPooledFrame) {
+    return ::operator new(size);
+  }
+  const size_t cls = (size - 1) / Simulator::kFrameGranule;
+  const size_t bytes = (cls + 1) * Simulator::kFrameGranule;
+  if (Simulator* sim = g_current) {
+    if (Simulator::FreeFrame* frame = sim->free_frames_[cls]) {
+      SPLITIO_UNPOISON(frame, bytes);
+      sim->free_frames_[cls] = frame->next;
+      return frame;
+    }
+  }
+  return ::operator new(bytes);
+}
+
+void PromiseBase::operator delete(void* frame, std::size_t size) noexcept {
+  Simulator* sim = g_current;
+  if (size > Simulator::kMaxPooledFrame || sim == nullptr) {
+    ::operator delete(frame);
+    return;
+  }
+  const size_t cls = (size - 1) / Simulator::kFrameGranule;
+  auto* free_frame = static_cast<Simulator::FreeFrame*>(frame);
+  free_frame->next = sim->free_frames_[cls];
+  sim->free_frames_[cls] = free_frame;
+  SPLITIO_POISON(frame, (cls + 1) * Simulator::kFrameGranule);
+}
+
+}  // namespace internal
 
 Simulator::Simulator() {
   assert(g_current == nullptr && "nested simulators are not supported");
@@ -44,6 +91,13 @@ Simulator::~Simulator() {
   if (g_current == this) {
     g_current = nullptr;
   }
+  for (size_t cls = 0; cls < std::size(free_frames_); ++cls) {
+    while (FreeFrame* frame = free_frames_[cls]) {
+      SPLITIO_UNPOISON(frame, (cls + 1) * kFrameGranule);
+      free_frames_[cls] = frame->next;
+      ::operator delete(frame);
+    }
+  }
 }
 
 Simulator& Simulator::current() {
@@ -69,6 +123,9 @@ void Simulator::Schedule(Nanos t, std::coroutine_handle<> h) {
 }
 
 void Simulator::Run(Nanos until) {
+  if (until < now_) {
+    return;
+  }
   for (;;) {
     bool from_ready;
     if (ready_.empty()) {
@@ -83,11 +140,11 @@ void Simulator::Run(Nanos until) {
     } else if (queue_.empty()) {
       from_ready = true;
     } else {
-      const QueueItem& r = ready_.front();
+      const QueueItem& r = ready_[ready_head_];
       const QueueItem& q = queue_.top();
       from_ready = r.time < q.time || (r.time == q.time && r.seq < q.seq);
     }
-    const QueueItem& top = from_ready ? ready_.front() : queue_.top();
+    const QueueItem& top = from_ready ? ready_[ready_head_] : queue_.top();
     if (top.time > until) {
       // Horizon exit: flush samples due up to (and including) `until`.
       // (top.time > until implies until < kNanosMax, so +1 cannot wrap.)
@@ -99,7 +156,10 @@ void Simulator::Run(Nanos until) {
     }
     QueueItem item = top;
     if (from_ready) {
-      ready_.pop_front();
+      if (++ready_head_ == ready_.size()) {
+        ready_.clear();
+        ready_head_ = 0;
+      }
     } else {
       queue_.pop();
     }

@@ -6,12 +6,18 @@
 // `sim::Event`, or higher-level primitives, all of which re-enqueue the
 // coroutine in the event queue. Execution is single-threaded and fully
 // deterministic: ties in wake-up time are broken by insertion order.
+//
+// Each simulator also recycles the coroutine frames of the tasks that run
+// under it: a destroyed frame goes on a free list of its size class, and
+// the next frame of that class reuses it (PromiseBase, src/sim/task.h). A
+// task parked on a `Latch` waits in its own frame (src/sim/sync.h), so a warm
+// simulation allocates neither frames nor latch waiters.
 #ifndef SRC_SIM_SIMULATOR_H_
 #define SRC_SIM_SIMULATOR_H_
 
 #include <coroutine>
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <queue>
 #include <utility>
 #include <vector>
@@ -58,7 +64,8 @@ class Simulator {
   void SpawnAt(Nanos t, Task<void> task) { Schedule(t, task.Release()); }
   void Spawn(Task<void> task) { SpawnAt(now_, std::move(task)); }
 
-  // Runs until the event queue is empty or the clock passes `until`.
+  // Runs until the event queue is empty or the clock passes `until`. A
+  // horizon before Now() returns at once: the clock never runs backwards.
   void Run(Nanos until = kNanosMax);
 
   // True when no wake-up is pending (quiescent — blocked coroutines may
@@ -71,7 +78,7 @@ class Simulator {
   Nanos NextEventTime() const {
     Nanos t = kNanosMax;
     if (!ready_.empty()) {
-      t = ready_.front().time;
+      t = ready_[ready_head_].time;
     }
     if (!queue_.empty() && queue_.top().time < t) {
       t = queue_.top().time;
@@ -90,6 +97,8 @@ class Simulator {
   void CountWakeup();
 
  private:
+  friend struct internal::PromiseBase;  // the frame free lists
+
   struct QueueItem {
     Nanos time;
     uint64_t seq;
@@ -102,17 +111,32 @@ class Simulator {
     }
   };
 
+  // A recycled frame on a free list.
+  struct FreeFrame {
+    FreeFrame* next;
+  };
+  // Frames up to kMaxPooledFrame bytes are rounded up to a multiple of
+  // kFrameGranule and recycled through one LIFO list per size class.
+  static constexpr size_t kFrameGranule = 16;
+  static constexpr size_t kMaxPooledFrame = 1024;
+
   Nanos now_ = 0;
   uint64_t next_seq_ = 0;
   uint64_t events_processed_ = 0;
-  // Wake-ups at the current time, in seq order. The overwhelmingly common
-  // Schedule(Now(), h) — notifications, latch completions, spawns — is an
-  // O(1) push here instead of an O(log n) heap insertion. Run() interleaves
-  // this FIFO with the heap by (time, seq), so execution order is identical
-  // to a single global priority queue.
-  std::deque<QueueItem> ready_;
+  // Wake-ups at the current time, in seq order, from ready_head_ on. The
+  // overwhelmingly common Schedule(Now(), h) — notifications, latch
+  // completions, spawns — is an O(1) push here instead of an O(log n) heap
+  // insertion. Run() interleaves this FIFO with the heap by (time, seq), so
+  // execution order is identical to a single global priority queue. Run()
+  // rewinds the buffer as soon as its head reaches the end (it always has
+  // when the clock advances), so a warm FIFO allocates nothing and
+  // `ready_.empty()` means no ready item is pending: a cheap test, which
+  // matters because the shard epoch loop asks every shard.
+  std::vector<QueueItem> ready_;
+  size_t ready_head_ = 0;
   std::priority_queue<QueueItem, std::vector<QueueItem>, std::greater<>>
       queue_;
+  FreeFrame* free_frames_[kMaxPooledFrame / kFrameGranule] = {};
 };
 
 // Awaitable: resume the current coroutine after `d` nanoseconds of simulated

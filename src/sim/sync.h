@@ -186,37 +186,56 @@ class Condition {
 
 // A one-shot completion latch: once Set(), all current and future waiters
 // pass through immediately. Used for per-request completion.
+//
+// The waiters live in the waiting frames: each parked awaiter is a link of
+// the latch's FIFO, so constructing, waiting on and setting a latch
+// allocates nothing.
 class Latch {
  public:
+  // Holds raw pointers only, so it stays trivially destructible (see the
+  // awaiter rule in task.h). It sits in the waiting frame while parked.
   class Awaiter {
    public:
     explicit Awaiter(Latch* latch) : latch_(latch) {}
     bool await_ready() const noexcept { return latch_->set_; }
-    void await_suspend(std::coroutine_handle<> h) {
-      latch_->waiters_.push_back(h);
+    void await_suspend(std::coroutine_handle<> h) noexcept {
+      handle_ = h;
+      if (latch_->tail_ != nullptr) {
+        latch_->tail_->next_ = this;
+      } else {
+        latch_->head_ = this;
+      }
+      latch_->tail_ = this;
     }
     void await_resume() const noexcept {}
 
    private:
+    friend class Latch;
     Latch* latch_;
+    std::coroutine_handle<> handle_;
+    Awaiter* next_ = nullptr;
   };
 
   Awaiter Wait() { return Awaiter(this); }
 
   void Set() {
     set_ = true;
-    Simulator& sim = Simulator::current();
-    for (std::coroutine_handle<> h : waiters_) {
-      sim.Schedule(sim.Now(), h);
+    if (head_ == nullptr) {
+      return;
     }
-    waiters_.clear();
+    Simulator& sim = Simulator::current();
+    for (Awaiter* w = head_; w != nullptr; w = w->next_) {
+      sim.Schedule(sim.Now(), w->handle_);
+    }
+    head_ = tail_ = nullptr;
   }
 
   bool is_set() const { return set_; }
 
  private:
   bool set_ = false;
-  std::deque<std::coroutine_handle<>> waiters_;
+  Awaiter* head_ = nullptr;  // parked waiters, oldest first
+  Awaiter* tail_ = nullptr;
 };
 
 }  // namespace splitio

@@ -10,6 +10,14 @@
 // frame when it finishes, and an exception it lets escape terminates the
 // program.
 //
+// FRAME RECYCLING: every Task frame is allocated through PromiseBase's
+// operator new, which takes it from the current Simulator's free lists, and
+// goes back on the current simulator's lists when it is destroyed
+// (src/sim/simulator.h), so a warm simulation allocates no frames. With no
+// current simulator a frame comes from and returns to the heap. A `Latch`
+// waiter is an awaiter inside the waiting frame (src/sim/sync.h), so parking
+// on a latch allocates nothing either.
+//
 // LAMBDA CAPTURE RULE: a lambda coroutine's captures live in the closure
 // object, which is NOT copied into the coroutine frame. Never invoke a
 // temporary capturing lambda as a coroutine (e.g. `Spawn([&]{...}())`);
@@ -26,6 +34,7 @@
 
 #include <cassert>
 #include <coroutine>
+#include <cstddef>
 #include <exception>
 #include <utility>
 
@@ -62,6 +71,10 @@ struct PromiseBase {
   std::suspend_always initial_suspend() noexcept { return {}; }
   FinalAwaiter final_suspend() noexcept { return {this}; }
   void unhandled_exception() { exception = std::current_exception(); }
+
+  // Frame storage: the current simulator's free lists (simulator.cc).
+  static void* operator new(std::size_t size);
+  static void operator delete(void* frame, std::size_t size) noexcept;
 };
 
 template <typename T>

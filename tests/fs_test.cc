@@ -596,10 +596,10 @@ class InspectableExt4 : public Ext4Sim {
   using FsBase::GetInode;
 };
 
-// A write below the dirty limit does not enter the dirty throttle, so once
-// the cache is warm its only allocation is its own coroutine frame: as many
-// as a control coroutine that allocates one frame per call.
-TEST(FsBase, WarmWriteBelowDirtyLimitAllocatesOnlyItsFrame) {
+// A write below the dirty limit does not enter the dirty throttle, and its
+// coroutine frames come from the simulator's free lists, so once the cache
+// and the lists are warm it allocates nothing.
+TEST(FsBase, WarmWriteBelowDirtyLimitAllocatesNothing) {
   Simulator sim;
   HddModel device;
   NoopElevator elevator;
@@ -615,30 +615,21 @@ TEST(FsBase, WarmWriteBelowDirtyLimitAllocatesOnlyItsFrame) {
   int64_t ino = fs.CreatePreallocated("/f", 1 << 20);
   constexpr int kWrites = 100;
   constexpr uint64_t kLen = 64 << 10;
-  auto one_frame = [](uint64_t len) -> Task<int64_t> {
-    co_return static_cast<int64_t>(len);
-  };
   uint64_t write_allocs = 0;
-  uint64_t control_allocs = 0;
   bool over_limit = true;
   auto body = [&]() -> Task<void> {
     co_await fs.Write(writer, ino, 0, kLen);  // warm-up
-    uint64_t before = counters().allocs;
+    const uint64_t before = counters().allocs;
     for (int i = 0; i < kWrites; ++i) {
       co_await fs.Write(writer, ino, (i % 8) * kLen, kLen);
     }
     write_allocs = counters().allocs - before;
-    before = counters().allocs;
-    for (int i = 0; i < kWrites; ++i) {
-      co_await one_frame(kLen);
-    }
-    control_allocs = counters().allocs - before;
     over_limit = cache.over_dirty_limit();
   };
   sim.Spawn(body());
   sim.Run();
   EXPECT_FALSE(over_limit);
-  EXPECT_EQ(write_allocs, control_allocs);
+  EXPECT_EQ(write_allocs, 0u);
 }
 
 TEST(ExtentMap, PreallocatedFileMapsWholeChunks) {

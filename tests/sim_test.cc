@@ -21,6 +21,10 @@
 #include "src/sim/time.h"
 #include "tests/alloc_counting.h"
 
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
+
 namespace splitio {
 namespace {
 
@@ -253,6 +257,121 @@ TEST(Simulator, RunUntilStopsClock) {
   EXPECT_EQ(sim.Now(), Msec(95));
 }
 
+// A horizon before the clock is a no-op: it neither moves the clock back
+// nor touches the queues, so later wake-ups keep their times.
+TEST(Simulator, EarlierHorizonLeavesTheClock) {
+  Simulator sim;
+  std::vector<Nanos> ticks;
+  Nanos marked = -1;
+  auto ticker = [&]() -> Task<void> {
+    for (;;) {
+      co_await Delay(Msec(10));
+      ticks.push_back(Simulator::current().Now());
+    }
+  };
+  auto mark = [&]() -> Task<void> {
+    marked = Simulator::current().Now();
+    co_return;
+  };
+  sim.Spawn(ticker());
+  sim.Run(Msec(95));
+  sim.Run(Msec(50));
+  EXPECT_EQ(sim.Now(), Msec(95));
+  sim.Spawn(mark());
+  sim.Run(Msec(120));
+  EXPECT_EQ(sim.Now(), Msec(120));
+  EXPECT_EQ(marked, Msec(95));
+  std::vector<Nanos> expected;
+  for (int i = 1; i <= 12; ++i) {
+    expected.push_back(Msec(10 * i));
+  }
+  EXPECT_EQ(ticks, expected);
+}
+
+// A child whose frame holds a 256-byte array across its suspension, next
+// to the few words of a small one: two frame size classes.
+Task<int> SmallChild(int x) { co_return x + 1; }
+
+Task<int> LargeChild(int x) {
+  int buf[64] = {};
+  buf[x % 64] = x;
+  co_await Delay(1);
+  co_return buf[x % 64];
+}
+
+Task<void> SetLatchLater(Latch* latch) {
+  co_await Delay(2);
+  latch->Set();
+}
+
+// Frames are recycled per simulator: once a first round has warmed its
+// free lists, the ready FIFO and the heap, a second identical round of
+// spawns, child tasks, delays and latch waits allocates nothing.
+TEST(Simulator, WarmFramesAllocateNothing) {
+  if (!AllocsAreCounted()) {
+    GTEST_SKIP() << "the sanitizer runtime replaces the counting operator new";
+  }
+  constexpr int kTasks = 64;
+  Simulator sim;
+  int64_t sum = 0;
+  auto worker = [&](int id) -> Task<void> {
+    const int a = co_await SmallChild(id);
+    const int b = co_await LargeChild(id);
+    co_await Delay(Usec(1));
+    Latch latch;
+    Simulator::current().Spawn(SetLatchLater(&latch));
+    co_await latch.Wait();
+    sum += a + b;
+  };
+  auto round = [&]() {
+    const uint64_t before = counters().allocs;
+    for (int i = 0; i < kTasks; ++i) {
+      sim.Spawn(worker(i));
+    }
+    sim.Run();
+    return counters().allocs - before;
+  };
+  EXPECT_GT(round(), 0u);
+  EXPECT_EQ(round(), 0u);
+  EXPECT_EQ(sum, 2 * kTasks * kTasks);
+}
+
+// Under ASan a frame on a free list is poisoned, so a use of a finished
+// task's frame still reports; a reused frame is unpoisoned.
+struct FrameAddress {
+  void** out;
+  bool await_ready() const noexcept { return false; }
+  bool await_suspend(std::coroutine_handle<> h) const noexcept {
+    *out = h.address();
+    return false;  // resume at once
+  }
+  void await_resume() const noexcept {}
+};
+
+TEST(Simulator, RecycledFrameIsPoisonedUnderAsan) {
+#if defined(__SANITIZE_ADDRESS__)
+  Simulator sim;
+  void* first = nullptr;
+  void* second = nullptr;
+  bool poisoned_while_running = true;
+  auto task = [&](void** frame) -> Task<void> {
+    co_await FrameAddress{frame};
+    poisoned_while_running = __asan_address_is_poisoned(*frame) != 0;
+  };
+  sim.Spawn(task(&first));
+  sim.Run();
+  ASSERT_NE(first, nullptr);
+  EXPECT_NE(__asan_address_is_poisoned(first), 0);
+  sim.Spawn(task(&second));
+  sim.Run();
+  EXPECT_EQ(second, first);  // the same class reuses the block
+  EXPECT_FALSE(poisoned_while_running);
+  EXPECT_NE(__asan_address_is_poisoned(first), 0);
+#else
+  GTEST_SKIP() << "frames are poisoned in ASan builds only";
+#endif
+}
+
 TEST(Event, NotifyOneWakesInFifoOrder) {
   Simulator sim;
   Event event;
@@ -301,6 +420,37 @@ TEST(Latch, ReleasesAllWaitersAndLaterArrivals) {
   sim.Run();
   EXPECT_EQ(released, 3);
   EXPECT_TRUE(latch.is_set());
+}
+
+// A latch links its waiters through their awaiters, which live in the
+// waiting frames: once frames and the ready FIFO are warm, constructing a
+// latch, parking three waiters and setting it allocates nothing, and the
+// waiters wake in the order they parked.
+TEST(Latch, WaitAndSetAllocateNothing) {
+  if (!AllocsAreCounted()) {
+    GTEST_SKIP() << "the sanitizer runtime replaces the counting operator new";
+  }
+  Simulator sim;
+  std::vector<int> woke;
+  woke.reserve(6);
+  auto waiter = [&](Latch* latch, int id) -> Task<void> {
+    co_await latch->Wait();
+    woke.push_back(id);
+  };
+  auto round = [&](int first) {
+    const uint64_t before = counters().allocs;
+    Latch latch;
+    for (int id = first; id < first + 3; ++id) {
+      sim.Spawn(waiter(&latch, id));
+    }
+    sim.Run();  // all three park
+    latch.Set();
+    sim.Run();
+    return counters().allocs - before;
+  };
+  round(0);  // warm-up: the frames and the ready FIFO
+  EXPECT_EQ(round(3), 0u);
+  EXPECT_EQ(woke, (std::vector<int>{0, 1, 2, 3, 4, 5}));
 }
 
 TEST(CpuModel, UncontendedRunsAtFullSpeed) {

@@ -420,10 +420,8 @@ TEST(Condition, MatchesEventRecheckLoop) {
 // walk of the ticker's NotifyAll over the herd, the walk of a batch the
 // releaser claims while that walk is pending (the late waiter, which parks
 // in between), and the releaser's own yield. The control makes three
-// plain same-time wake-ups per cycle. The ready FIFO allocates a chunk
-// every 21 items (libstdc++) or 170 (libc++); 3 * kCycles is a multiple of
-// both, so the two windows allocate the same chunks whatever their phase,
-// and any difference is the Condition's.
+// plain same-time wake-ups per cycle, so both windows load the ready FIFO
+// and the frame lists alike, and any difference is the Condition's.
 TEST(Condition, NotifyAndWalkAreAllocationFreeOnceWarm) {
   constexpr int kHerd = 8;
   constexpr int kCycles = 1190;
