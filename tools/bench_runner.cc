@@ -27,7 +27,9 @@
 // regressed by more than --threshold (default 10%), which is what CI gates
 // on. Each row also shows the events and wall_ms behind the rate (old ->
 // new): a change that removes futile wake-ups lowers events/sec by
-// construction, even when the bench gets faster.
+// construction, even when the bench gets faster. The allocs column (old ->
+// new, from each entry's counters; `-` where a file has none) is shown
+// only, not gated.
 #include <fcntl.h>
 #include <sys/resource.h>
 #include <sys/stat.h>
@@ -308,6 +310,7 @@ struct CompareEntry {
   double wall_ms = 0;
   double events_processed = 0;
   double events_per_sec = 0;
+  std::string allocs = "-";  // the entry's counters.allocs, if it has one
 };
 
 std::map<std::string, CompareEntry> LoadResults(const std::string& path) {
@@ -328,6 +331,18 @@ std::map<std::string, CompareEntry> LoadResults(const std::string& path) {
     FindNumber(s, "wall_ms", &e.wall_ms, name_end);
     FindNumber(s, "events_processed", &e.events_processed, name_end);
     FindNumber(s, "events_per_sec", &e.events_per_sec, name_end);
+    // Only this entry's own counters object: stop at the next entry.
+    size_t next = FindValuePos(s, "bench", name_end);
+    size_t counters = FindValuePos(s, "counters", name_end);
+    if (counters < next && counters < s.size() && s[counters] == '{') {
+      size_t allocs = FindValuePos(s, "allocs", counters);
+      if (allocs < s.find('}', counters)) {
+        char text[32];
+        std::snprintf(text, sizeof(text), "%.0f",
+                      std::strtod(s.c_str() + allocs, nullptr));
+        e.allocs = text;
+      }
+    }
     entries[name] = e;
     pos = name_end;
   }
@@ -343,16 +358,17 @@ int Compare(const std::string& old_path, const std::string& new_path,
                  olds.size(), news.size());
     return 2;
   }
-  std::printf("%-36s %25s %21s %10s %10s %8s\n", "bench",
-              "events (old -> new)", "wall_ms (old -> new)", "old ev/s",
-              "new ev/s", "delta");
+  std::printf("%-36s %25s %21s %25s %10s %10s %8s\n", "bench",
+              "events (old -> new)", "wall_ms (old -> new)",
+              "allocs (old -> new)", "old ev/s", "new ev/s", "delta");
   int regressions = 0;
   for (const auto& [name, n] : news) {
     auto it = olds.find(name);
     if (it == olds.end()) {
-      std::printf("%-36s %11s -> %-10.0f %9s -> %-8.1f %10s %10.0f %8s\n",
+      std::printf("%-36s %11s -> %-10.0f %9s -> %-8.1f %11s -> %-10s %10s "
+                  "%10.0f %8s\n",
                   name.c_str(), "(new)", n.events_processed, "-", n.wall_ms,
-                  "-", n.events_per_sec, "-");
+                  "-", n.allocs.c_str(), "-", n.events_per_sec, "-");
       continue;
     }
     const CompareEntry& o = it->second;
@@ -362,11 +378,12 @@ int Compare(const std::string& old_path, const std::string& new_path,
                        : 0;
     bool regressed = delta < -threshold;
     regressions += regressed ? 1 : 0;
-    std::printf("%-36s %11.0f -> %-10.0f %9.1f -> %-8.1f %10.0f %10.0f "
-                "%+7.1f%%%s\n",
+    std::printf("%-36s %11.0f -> %-10.0f %9.1f -> %-8.1f %11s -> %-10s "
+                "%10.0f %10.0f %+7.1f%%%s\n",
                 name.c_str(), o.events_processed, n.events_processed,
-                o.wall_ms, n.wall_ms, o.events_per_sec, n.events_per_sec,
-                delta * 100, regressed ? "  REGRESSION" : "");
+                o.wall_ms, n.wall_ms, o.allocs.c_str(), n.allocs.c_str(),
+                o.events_per_sec, n.events_per_sec, delta * 100,
+                regressed ? "  REGRESSION" : "");
   }
   if (regressions > 0) {
     std::printf("\n%d bench(es) regressed more than %.0f%% in events/sec\n",
